@@ -34,7 +34,7 @@ def main():
               f"strongest score {detections[0][2]:.3f}")
 
     bag = build_bag(views[0], n=16)
-    print(f"\nbag: {bag.n} patches of shape {bag.patches[0].pixels.shape}, "
+    print(f"\nbag: {bag.n} patches of shape {bag.pixels.shape[1:]}, "
           f"keypoints like {bag.keypoints[:3]} ...")
 
     print("\nbuilding a 4-object dataset (2 views each) ...")

@@ -33,7 +33,6 @@ from .matching import (
 )
 from .net import (
     DescriptorNet,
-    Patch,
     forward,
     forward_bag,
     init_net,

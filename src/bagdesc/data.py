@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .net import PATCH_SHAPE, Patch
+from .net import PATCH_SHAPE
 from .tensor import ShapeError
 
 __all__ = [
@@ -88,30 +88,34 @@ class SceneImage:
 class PatchBag:
     """n patches (and their keypoint coordinates) from one view of one object.
 
+    `pixels` is one [n, 3, 32, 32] float64 array with values in [0, 1].
     Keypoints are generation-time metadata; bags loaded from disk carry None.
     """
 
     object_id: int
     view_id: int
-    patches: list[Patch]
+    pixels: np.ndarray
     keypoints: list[tuple[int, int]] | None = None
 
     def __post_init__(self):
-        if len(self.patches) < 1:
+        self.pixels = np.asarray(self.pixels, dtype=np.float64)
+        if self.pixels.ndim != 4 or self.pixels.shape[1:] != PATCH_SHAPE:
+            raise ShapeError(f"bag pixels must be [n,3,32,32], got {self.pixels.shape}")
+        if len(self.pixels) < 1:
             raise DataError("a bag needs at least one patch")
-        if self.keypoints is not None and len(self.keypoints) != len(self.patches):
+        # min/max propagate NaN, so this also rejects non-finite values
+        if not (self.pixels.min() >= 0.0 and self.pixels.max() <= 1.0):
+            raise DataError("bag pixels must be finite and lie in [0, 1]")
+        if self.keypoints is not None and len(self.keypoints) != len(self.pixels):
             raise DataError("keypoint list length must match patch count")
-        self._stack: np.ndarray | None = None
 
     @property
     def n(self) -> int:
-        return len(self.patches)
+        return len(self.pixels)
 
     def pixel_stack(self) -> np.ndarray:
-        """[n, 3, 32, 32] float64 view stack (cached)."""
-        if self._stack is None:
-            self._stack = np.stack([p.pixels for p in self.patches])
-        return self._stack
+        """The [n, 3, 32, 32] pixel array itself (not a copy)."""
+        return self.pixels
 
 
 @dataclass
@@ -152,6 +156,8 @@ class BagDataset:
             if len(views) < 2:
                 raise DataError(f"object {oid} has fewer than 2 views")
             views.sort(key=lambda b: b.view_id)
+            if len({b.view_id for b in views}) < len(views):
+                raise DataError(f"object {oid} repeats a view id")
 
     @property
     def object_ids(self) -> list[int]:
@@ -456,13 +462,15 @@ def extract_bag(
             f"only {len(usable)} of {len(detections)} detections are at least "
             f"{patch_radius} px from the border; need {n}"
         )
-    patches = []
-    keypoints = []
-    for x, y, _ in usable[:n]:
-        crop = small[:, y - patch_radius : y + patch_radius, x - patch_radius : x + patch_radius]
-        patches.append(Patch(_resize_patch(crop)))
-        keypoints.append((int(x), int(y)))
-    return PatchBag(scene.object_id, scene.view_id, patches, keypoints)
+    keypoints = [(int(x), int(y)) for x, y, _ in usable[:n]]
+    crops = [
+        _resize_patch(
+            small[:, y - patch_radius : y + patch_radius, x - patch_radius : x + patch_radius]
+        )
+        for x, y in keypoints
+    ]
+    # Rounding in the bilinear weights can land just outside [0, 1]; clamp once.
+    return PatchBag(scene.object_id, scene.view_id, np.clip(np.stack(crops), 0.0, 1.0), keypoints)
 
 
 def build_bag(
@@ -597,26 +605,35 @@ def load_dataset(path, split: str = "") -> BagDataset:
         raise DataError(f"malformed header: {exc}") from exc
     if patch_side != PATCH_SIDE:
         raise DataError(f"unsupported patch side {patch_side}")
-    patch_bytes = 4 * 3 * patch_side * patch_side
-    record_bytes = 12 + n * patch_bytes
-    offset = newline + 1
-    bags: list[PatchBag] = []
-    for _ in range(num_objects * views_per_object):
-        record = raw[offset : offset + record_bytes]
-        if len(record) < record_bytes:
-            raise DataError(f"truncated record at byte offset {offset}")
-        object_id, view_id, record_n = struct.unpack("<III", record[:12])
-        if record_n != n:
-            raise DataError(
-                f"bag at byte offset {offset} declares n={record_n}, header says n={n}"
-            )
-        values = np.frombuffer(record[12:], dtype="<f4").astype(np.float64)
-        if not np.all(np.isfinite(values)):
-            raise DataError(f"non-finite patch values at byte offset {offset}")
-        stack = values.reshape(n, *PATCH_SHAPE)
-        patches = [Patch(stack[i]) for i in range(n)]
-        bags.append(PatchBag(int(object_id), int(view_id), patches, None))
-        offset += record_bytes
-    if offset != len(raw):
-        raise DataError(f"{len(raw) - offset} trailing bytes after the last record")
+    if min(num_objects, views_per_object, n) < 1:
+        raise DataError(f"header counts must be positive, got {header}")
+    record = np.dtype([("ids", "<u4", 3), ("pixels", "<f4", (n, *PATCH_SHAPE))])
+    count, start = num_objects * views_per_object, newline + 1
+    whole = (len(raw) - start) // record.itemsize
+    if whole < count:
+        raise DataError(f"truncated record at byte offset {start + whole * record.itemsize}")
+    end = start + count * record.itemsize
+    if end != len(raw):
+        raise DataError(f"{len(raw) - end} trailing bytes after the last record")
+    records = np.frombuffer(raw, dtype=record, count=count, offset=start)
+    ids = records["ids"]
+
+    def first(bad: np.ndarray) -> int:
+        return start + int(np.argmax(bad)) * record.itemsize
+
+    bad_n = ids[:, 2] != n
+    if bad_n.any():
+        raise DataError(
+            f"bag at byte offset {first(bad_n)} declares n={ids[bad_n][0, 2]}, header says n={n}"
+        )
+    values = records["pixels"].reshape(count, -1)
+    in_range = (values.min(axis=1) >= 0.0) & (values.max(axis=1) <= 1.0)  # False on NaN
+    if not in_range.all():
+        raise DataError(
+            f"non-finite or out-of-range patch values at byte offset {first(~in_range)}"
+        )
+    if np.any(np.unique(ids[:, 0], return_counts=True)[1] != views_per_object):
+        raise DataError(f"records do not form {num_objects} objects of {views_per_object} views")
+    pixels = records["pixels"].astype(np.float64)
+    bags = [PatchBag(o, v, pixels[i]) for i, (o, v, _) in enumerate(ids.tolist())]
     return BagDataset(bags, n, split)

@@ -11,7 +11,6 @@ checking.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .tensor import (
 
 __all__ = [
     "DescriptorNet",
-    "Patch",
     "IntegrityError",
     "FULL_CHANNELS",
     "FULL_DESCRIPTOR_DIM",
@@ -57,19 +55,6 @@ MODEL_MAGIC = b"WLRNNET1"
 
 class IntegrityError(ValueError):
     """A model file that fails structural or numeric validation."""
-
-
-@dataclass
-class Patch:
-    """A 3x32x32 patch with values clamped to [0,1]."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.pixels, dtype=np.float64)
-        if arr.shape != PATCH_SHAPE:
-            raise ShapeError(f"patch must have shape {PATCH_SHAPE}, got {arr.shape}")
-        self.pixels = np.clip(arr, 0.0, 1.0)
 
 
 def _layer_shapes(channels, descriptor_dim):
@@ -152,7 +137,7 @@ def forward(net: DescriptorNet, patch) -> Tensor:
     [B, descriptor_dim]); every row has unit norm. Raises
     DegenerateInputError when the pre-normalization output vanishes.
     """
-    pixels = patch.pixels if isinstance(patch, Patch) else np.asarray(patch, dtype=np.float64)
+    pixels = np.asarray(patch, dtype=np.float64)
     if pixels.shape != PATCH_SHAPE and pixels.shape[1:] != PATCH_SHAPE:
         raise ShapeError(f"expected patch shape {PATCH_SHAPE} (optionally batched), got {pixels.shape}")
     p = net.params

@@ -6,7 +6,7 @@ the batch), then measures the loss on a fixed validation triplet list. When
 validation has not improved for `patience` rounds the learning rate is
 halved. The snapshot with the best validation loss is returned.
 
-Everything is deterministic in (seed, data, config) when run single-threaded.
+Everything is deterministic in (seed, data, config), whatever the thread count.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 from .data import BagDataset, BagTriplet, sample_triplet
 from .matching import GramPair, MatchConfig, soft_match_backward, soft_match_score
 from .net import DescriptorNet, describe, forward_bag, init_net
+from .tensor import Tensor
 
 __all__ = [
     "TrainConfig",
@@ -144,15 +145,12 @@ def _batch_gradients(
     cfg: MatchConfig,
     threads: int,
 ) -> tuple[float, dict]:
-    """Summed parameter gradients (and mean loss) over a batch of triplets."""
-    net.zero_grad()
-    if threads <= 1:
-        losses = [triplet_loss(net, t, cfg, accumulate=True) for t in triplets]
-        grads = {name: p.grad for name, p in net.params.items() if p.grad is not None}
-        return float(np.mean(losses)), grads
-    # Each worker accumulates into a private copy of the parameter tensors
-    # (sharing the underlying data arrays read-only), reduced in list order.
-    from .tensor import Tensor
+    """Summed parameter gradients (and mean loss) over a batch of triplets.
+
+    Each triplet accumulates into a private copy of the parameter tensors
+    (sharing the underlying data arrays read-only). The copies are summed in
+    list order, so the result does not depend on the thread count.
+    """
 
     def worker(triplet: BagTriplet) -> tuple[float, dict]:
         shadow = DescriptorNet(
@@ -163,17 +161,16 @@ def _batch_gradients(
         loss = triplet_loss(shadow, triplet, cfg, accumulate=True)
         return loss, {name: p.grad for name, p in shadow.params.items() if p.grad is not None}
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(worker, triplets))
     total: dict = {}
     losses = []
-    for loss, grads in results:
-        losses.append(loss)
-        for name, g in grads.items():
-            if name in total:
-                total[name] += g
-            else:
-                total[name] = g.copy()
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for loss, grads in pool.map(worker, triplets):
+            losses.append(loss)
+            for name, g in grads.items():
+                if name in total:
+                    total[name] += g
+                else:
+                    total[name] = g  # the shadow's private accumulator
     return float(np.mean(losses)), total
 
 

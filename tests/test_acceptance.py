@@ -58,7 +58,6 @@ from bagdesc.tensor import (
 )
 from bagdesc.train import triplet_loss
 from bagdesc.data import BagTriplet, PatchBag
-from bagdesc.net import Patch
 
 from oracles import affine_loop, conv2d_loop, fast_reference, maxpool2x2_loop
 
@@ -206,7 +205,7 @@ def test_criterion_4c_triplet_loss_gradients_reduced_net():
     n = 3
 
     def bag(obj, view):
-        return PatchBag(obj, view, [Patch(rng.uniform(0, 1, (3, 32, 32))) for _ in range(n)])
+        return PatchBag(obj, view, rng.uniform(0, 1, (n, 3, 32, 32)))
 
     triplet = BagTriplet(bag(0, 0), bag(0, 1), bag(1, 0))
     net = init_net(5, channels=REDUCED_CHANNELS, descriptor_dim=REDUCED_DESCRIPTOR_DIM)

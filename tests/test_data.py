@@ -19,7 +19,7 @@ from bagdesc.data import (
     sample_triplet,
     save_dataset,
 )
-from bagdesc.net import Patch
+from bagdesc.tensor import ShapeError
 
 from oracles import fast_reference
 
@@ -202,8 +202,8 @@ def test_extract_bag_identity_resample_center_pixel(scene):
     small = downsample4(scene.pixels)
     detections = fast_detect(small, 0.05, 75)
     bag = extract_bag(scene, detections, 8, patch_radius=16)
-    for patch, (x, y) in zip(bag.patches, bag.keypoints):
-        assert np.max(np.abs(patch.pixels[:, 16, 16] - small[:, y, x])) < 1e-9
+    for patch, (x, y) in zip(bag.pixels, bag.keypoints):
+        assert np.max(np.abs(patch[:, 16, 16] - small[:, y, x])) < 1e-9
 
 
 def test_extract_bag_rejects_when_too_few(scene):
@@ -221,13 +221,40 @@ def test_build_dataset_and_determinism():
         assert np.array_equal(ba.pixel_stack(), bb.pixel_stack())
 
 
+def test_patch_bag_validates():
+    pixels = np.random.default_rng(1).uniform(0, 1, (2, 3, 32, 32))
+    bag = PatchBag(0, 0, pixels, [(1, 2), (3, 4)])
+    assert bag.n == 2
+    assert bag.pixel_stack() is bag.pixels
+    with pytest.raises(ShapeError):
+        PatchBag(0, 0, np.zeros((2, 3, 16, 16)))
+    with pytest.raises(ShapeError):
+        PatchBag(0, 0, np.zeros((3, 32, 32)))  # one patch, not a stack
+    with pytest.raises(DataError, match="at least one"):
+        PatchBag(0, 0, np.zeros((0, 3, 32, 32)))
+    for value in (-0.5, 1.5, np.nan, np.inf):
+        bad = pixels.copy()
+        bad[1, 2, 3, 4] = value
+        with pytest.raises(DataError, match=r"\[0, 1\]"):
+            PatchBag(0, 0, bad)
+    with pytest.raises(DataError, match="keypoint"):
+        PatchBag(0, 0, pixels, [(1, 2)])
+
+
 def test_bag_dataset_invariants():
-    patches = [Patch(RNG.uniform(0, 1, (3, 32, 32))) for _ in range(2)]
+    patches = RNG.uniform(0, 1, (2, 3, 32, 32))
     solo = PatchBag(0, 0, patches)
     with pytest.raises(DataError):
         BagDataset([solo], 2)  # single view for object 0
     with pytest.raises(DataError):
         BagDataset([solo, PatchBag(0, 1, patches[:1])], 2)  # inconsistent n
+
+
+def test_bag_dataset_rejects_duplicate_views():
+    patches = np.full((2, 3, 32, 32), 0.5)
+    bags = [PatchBag(0, view, patches) for view in (0, 1, 1)]
+    with pytest.raises(DataError, match="repeats a view id"):
+        BagDataset(bags, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +264,7 @@ def test_bag_dataset_invariants():
 def make_dataset(num_objects=4, views=3, n=2):
     rng = np.random.default_rng(0)
     bags = [
-        PatchBag(obj, view, [Patch(rng.uniform(0, 1, (3, 32, 32))) for _ in range(n)])
+        PatchBag(obj, view, rng.uniform(0, 1, (n, 3, 32, 32)))
         for obj in range(num_objects)
         for view in range(views)
     ]
@@ -256,7 +283,7 @@ def test_sample_triplet_constraints():
 
 def test_sample_triplet_rejects_single_object():
     rng = np.random.default_rng(0)
-    patches = [Patch(RNG.uniform(0, 1, (3, 32, 32)))]
+    patches = RNG.uniform(0, 1, (1, 3, 32, 32))
     ds = BagDataset([PatchBag(0, 0, patches), PatchBag(0, 1, patches)], 1)
     with pytest.raises(DataError):
         sample_triplet(ds, rng)
@@ -350,3 +377,31 @@ def test_dataset_file_rejects_corruption(tmp_path):
     trailing.write_bytes(bytes(raw) + b"junk")
     with pytest.raises(DataError, match="trailing"):
         load_dataset(trailing)
+
+    negative_n = tmp_path / "negn.dat"
+    negative_n.write_bytes(bytes(raw).replace(b'"n": 4', b'"n": -4', 1))
+    with pytest.raises(DataError, match="positive"):
+        load_dataset(negative_n)
+
+    # one pixel of the second record out of [0, 1] or non-finite
+    record_bytes = 12 + 4 * 4 * 3 * 32 * 32
+    second = header_end + record_bytes
+    for value in (7.5, -0.25, np.nan, np.inf):
+        corrupt = bytearray(raw)
+        corrupt[second + 40 : second + 44] = np.array(value, dtype="<f4").tobytes()
+        path_bad = tmp_path / "pixels.dat"
+        path_bad.write_bytes(bytes(corrupt))
+        with pytest.raises(DataError, match=f"out-of-range patch values at byte offset {second}$"):
+            load_dataset(path_bad)
+
+
+def test_dataset_file_rejects_records_that_disagree_with_header(tmp_path):
+    path = tmp_path / "bags.dat"
+    save_dataset(make_dataset(num_objects=1, views=4, n=4), path)
+    raw = path.read_bytes()
+    header = b'"num_objects": 1, "views_per_object": 4'
+    assert header in raw
+    relabeled = tmp_path / "relabeled.dat"
+    relabeled.write_bytes(raw.replace(header, b'"num_objects": 2, "views_per_object": 2'))
+    with pytest.raises(DataError, match="do not form 2 objects of 2 views"):
+        load_dataset(relabeled)

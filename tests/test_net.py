@@ -6,7 +6,6 @@ import pytest
 from bagdesc.net import (
     FULL_PARAM_COUNT,
     IntegrityError,
-    Patch,
     REDUCED_CHANNELS,
     REDUCED_DESCRIPTOR_DIM,
     describe,
@@ -103,13 +102,6 @@ def test_zero_patch_with_zero_biases_is_degenerate():
     net = init_net(0)  # biases start at zero
     with pytest.raises(DegenerateInputError):
         forward(net, np.zeros((3, 32, 32)))
-
-
-def test_patch_clamps_and_validates():
-    p = Patch(np.linspace(-1.0, 2.0, 3 * 32 * 32).reshape(3, 32, 32))
-    assert p.pixels.min() >= 0.0 and p.pixels.max() <= 1.0
-    with pytest.raises(ShapeError):
-        Patch(np.zeros((3, 16, 16)))
 
 
 def test_forward_bag_rows():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bagdesc.data import BagDataset, PatchBag
-from bagdesc.net import Patch, init_net
+from bagdesc.net import init_net
 from bagdesc.retrieval import (
     RetrievalEntry,
     RetrievalIndex,
@@ -120,10 +120,10 @@ def sweep_fixture():
     a = rng.uniform(0.0, 1.0, (4, 3, 32, 32))
     b = rng.uniform(0.0, 1.0, (4, 3, 32, 32))
     bags = [
-        PatchBag(0, 0, [Patch(p) for p in a]),
-        PatchBag(0, 1, [Patch(p) for p in a]),
-        PatchBag(1, 0, [Patch(p) for p in b]),
-        PatchBag(1, 1, [Patch(p) for p in b]),
+        PatchBag(0, 0, a),
+        PatchBag(0, 1, a),
+        PatchBag(1, 0, b),
+        PatchBag(1, 1, b),
     ]
     return BagDataset(bags, 4)
 

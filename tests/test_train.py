@@ -6,7 +6,6 @@ import pytest
 from bagdesc.data import BagDataset, BagTriplet, PatchBag
 from bagdesc.matching import GramPair, MatchConfig, soft_match_score
 from bagdesc.net import (
-    Patch,
     REDUCED_CHANNELS,
     REDUCED_DESCRIPTOR_DIM,
     forward_bag,
@@ -28,7 +27,7 @@ RNG = np.random.default_rng(55)
 
 
 def make_bag(rng, object_id, view_id, n=4):
-    return PatchBag(object_id, view_id, [Patch(rng.uniform(0, 1, (3, 32, 32))) for _ in range(n)])
+    return PatchBag(object_id, view_id, rng.uniform(0, 1, (n, 3, 32, 32)))
 
 
 def make_dataset(num_objects=4, views=3, n=4, seed=0, first_object_id=0):
@@ -70,9 +69,9 @@ def test_triplet_loss_equal_positive_and_negative_content():
     # same pixels under two different object ids: the two scores coincide
     rng = np.random.default_rng(8)
     anchor = make_bag(rng, 0, 0)
-    twin_pixels = [Patch(p.pixels.copy()) for p in make_bag(rng, 9, 9).patches]
-    positive = PatchBag(0, 1, [Patch(p.pixels.copy()) for p in twin_pixels])
-    negative = PatchBag(1, 0, [Patch(p.pixels.copy()) for p in twin_pixels])
+    twin_pixels = make_bag(rng, 9, 9).pixels
+    positive = PatchBag(0, 1, twin_pixels.copy())
+    negative = PatchBag(1, 0, twin_pixels.copy())
     net = init_net(0)
     loss = triplet_loss(net, BagTriplet(anchor, positive, negative), MatchConfig())
     assert loss == pytest.approx(1.0, abs=1e-5)
@@ -98,9 +97,9 @@ def test_triplet_loss_invariant_to_patch_permutation():
     base = triplet_loss(net, t, cfg)
     perm = np.random.default_rng(1).permutation(5)
     shuffled = BagTriplet(
-        PatchBag(0, 0, [t.anchor.patches[i] for i in perm]),
-        PatchBag(0, 1, [t.positive.patches[i] for i in perm[::-1]]),
-        PatchBag(1, 0, list(reversed(t.negative.patches))),
+        PatchBag(0, 0, t.anchor.pixels[perm]),
+        PatchBag(0, 1, t.positive.pixels[perm[::-1]]),
+        PatchBag(1, 0, t.negative.pixels[::-1]),
     )
     assert triplet_loss(net, shuffled, cfg) == pytest.approx(base, abs=1e-9)
 
@@ -278,7 +277,7 @@ def test_threaded_batch_matches_single_threaded():
     net = init_net(6)
     loss_single, grads_single = _batch_gradients(net, triplets, cfg, threads=1)
     loss_threaded, grads_threaded = _batch_gradients(net, triplets, cfg, threads=2)
-    assert loss_threaded == pytest.approx(loss_single, abs=1e-12)
+    assert loss_threaded == loss_single
     assert set(grads_single) == set(grads_threaded)
     for name in grads_single:
-        assert np.allclose(grads_single[name], grads_threaded[name], atol=1e-12)
+        assert np.array_equal(grads_single[name], grads_threaded[name])
