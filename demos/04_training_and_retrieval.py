@@ -11,15 +11,7 @@ import numpy as np
 from bagdesc.data import build_dataset, sample_triplet
 from bagdesc.matching import GramPair, MatchConfig, sqdist_matrix
 from bagdesc.net import describe, init_net
-from bagdesc.retrieval import (
-    RetrievalEntry,
-    RetrievalIndex,
-    kmeans,
-    nn_ft_st,
-    sweep_tau,
-    vlad_encode,
-    vlad_retrieve,
-)
+from bagdesc.retrieval import kmeans, rank_and_score, sweep_tau, vlad_encode
 from bagdesc.train import TrainConfig, train
 
 
@@ -41,16 +33,8 @@ def initial_distance_stats(net, dataset, seed, triplets=32):
 def vlad_nn(net, tuning, target, k=8):
     pool = np.concatenate([describe(net, b.pixel_stack()) for b in tuning.bags])
     codebook = kmeans(pool, k, seed=5)
-    vlads = [vlad_encode(describe(net, b.pixel_stack()), codebook) for b in target.bags]
-    index = RetrievalIndex(
-        [RetrievalEntry(i, b.object_id, v) for i, (b, v) in enumerate(zip(target.bags, vlads))]
-    )
-    rankings = []
-    for entry in index.entries:
-        ranked = vlad_retrieve(entry.payload, index, exclude_image_id=entry.image_id)
-        rankings.append((entry.object_id, [index.entries[i].object_id for i, _ in ranked]))
-    sizes = {oid: len(v) for oid, v in target.by_object.items()}
-    return nn_ft_st(rankings, sizes)[0]
+    vlads = np.stack([vlad_encode(describe(net, b.pixel_stack()), codebook) for b in target.bags])
+    return rank_and_score(vlads @ vlads.T, [b.object_id for b in target.bags])[0]
 
 
 def main():

@@ -23,18 +23,16 @@ from .data import build_dataset, load_dataset, save_dataset
 from .matching import MatchConfig
 from .net import forward_bag, init_net, load_net, save_net
 from .retrieval import (
-    RetrievalEntry,
-    RetrievalIndex,
     build_match_index,
-    default_tau_grid,
+    hard_score_matrix,
     kmeans,
-    match_retrieve,
-    nn_ft_st,
+    rank_and_score,
     sweep_tau,
     vlad_encode,
-    vlad_retrieve,
     write_score_rows,
 )
+# Unused here, but perfbench/tracer.py wraps these names in this module.
+from .retrieval import match_retrieve, nn_ft_st, vlad_retrieve  # noqa: F401
 from .train import TrainConfig, train, write_loss_curves
 
 __all__ = ["main", "ConfigError", "DEFAULT_CONFIG"]
@@ -90,13 +88,17 @@ def resolve_config(raw: dict) -> dict:
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
     cfg = {"seed": raw.get("seed", DEFAULT_CONFIG["seed"])}
-    if not isinstance(cfg["seed"], int) or cfg["seed"] < 0:
+    if not _numbers([cfg["seed"]], integer=True) or cfg["seed"] < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {cfg['seed']!r}")
     for section in ("data", "match", "train", "retrieval"):
         overrides = raw.get(section, {})
         if not isinstance(overrides, dict):
             raise ConfigError(f"'{section}' must be a JSON object")
         cfg[section] = _merge_section(section, DEFAULT_CONFIG[section], overrides)
+        for key, default in DEFAULT_CONFIG[section].items():
+            value = cfg[section][key]
+            if type(default) in (int, float) and not _numbers([value], type(default) is int):
+                raise ConfigError(f"{section}.{key} must be {type(default).__name__}, got {value!r}")
 
     d = cfg["data"]
     if d["objects"] < 3:
@@ -119,15 +121,23 @@ def resolve_config(raw: dict) -> dict:
     _match_config(cfg)
     _train_config(cfg)
     r = cfg["retrieval"]
-    if r["tau_grid"] is not None:
-        grid = list(r["tau_grid"])
-        if not grid or any(not 0 < t < 4 for t in grid):
-            raise ConfigError("tau_grid must be a non-empty list of values in (0, 4)")
-    if not r["k_list"] or any(k < 1 for k in r["k_list"]):
+    grid = r["tau_grid"]
+    if grid is not None and not (_numbers(grid, False) and all(0 < t < 4 for t in grid)):
+        raise ConfigError("tau_grid must be a non-empty list of numbers in (0, 4)")
+    if not (_numbers(r["k_list"], True) and min(r["k_list"]) >= 1):
         raise ConfigError("k_list must be a non-empty list of positive integers")
     if r["kmeans_iters"] < 1:
         raise ConfigError("kmeans_iters must be positive")
     return cfg
+
+
+def _numbers(values, integer: bool) -> bool:
+    """A non-empty list of ints or, unless `integer`, finite floats; no bools."""
+    kinds = int if integer else (int, float)
+    return isinstance(values, (list, tuple)) and len(values) > 0 and all(
+        isinstance(v, kinds) and not isinstance(v, bool) and v - v == 0  # v - v is nan for inf, nan
+        for v in values
+    )
 
 
 def _split_counts(data_cfg: dict) -> dict:
@@ -221,24 +231,14 @@ def cmd_train(cfg: dict, out_dir: Path, data_dir: Path, threads: int) -> None:
     )
 
 
-def _grid(cfg: dict):
-    g = cfg["retrieval"]["tau_grid"]
-    return default_tau_grid() if g is None else np.asarray(g, dtype=np.float64)
-
-
 def cmd_eval_match(cfg: dict, out_dir: Path, data_dir: Path, model_path: Path, split: str) -> None:
     net = load_net(model_path)
     tuning = load_dataset(data_dir / "val.bags", "val")
     target = load_dataset(data_dir / f"{split}.bags", split)
-    best_tau, sweep_rows = sweep_tau(tuning, net, _grid(cfg))
+    best_tau, sweep_rows = sweep_tau(tuning, net, cfg["retrieval"]["tau_grid"])
     index = build_match_index(net, target)
-    by_id = {e.image_id: e for e in index.entries}
-    rankings = []
-    for entry in index.entries:
-        ranked = match_retrieve(entry.payload, index, best_tau, exclude_image_id=entry.image_id)
-        rankings.append((entry.object_id, [by_id[i].object_id for i, _ in ranked]))
-    class_sizes = {oid: len(v) for oid, v in target.by_object.items()}
-    nn, ft, st = nn_ft_st(rankings, class_sizes)
+    scores = hard_score_matrix(index, [best_tau])[0]
+    nn, ft, st = rank_and_score(scores, [e.object_id for e in index.entries])
     write_score_rows(out_dir / "sweep_val.csv", ["tau", "NN", "FT", "ST"], sweep_rows)
     write_score_rows(
         out_dir / f"eval_match_{split}.csv", ["tau", "NN", "FT", "ST"], [(best_tau, nn, ft, st)]
@@ -258,21 +258,12 @@ def cmd_eval_vlad(cfg: dict, out_dir: Path, data_dir: Path, model_path: Path, sp
     kmeans_seed = _seeds(cfg["seed"])["retrieval"]
     pool = np.concatenate([forward_bag(net, bag).data for bag in tuning.bags])
     target_desc = [forward_bag(net, bag).data for bag in target.bags]
-    class_sizes = {oid: len(v) for oid, v in target.by_object.items()}
+    object_ids = [bag.object_id for bag in target.bags]
     rows = []
     for k in cfg["retrieval"]["k_list"]:
         codebook = kmeans(pool, int(k), kmeans_seed, cfg["retrieval"]["kmeans_iters"])
-        vlads = [vlad_encode(desc, codebook) for desc in target_desc]
-        index = RetrievalIndex(
-            [RetrievalEntry(i, bag.object_id, v) for i, (bag, v) in enumerate(zip(target.bags, vlads))]
-        )
-        rankings = []
-        for entry in index.entries:
-            ranked = vlad_retrieve(entry.payload, index, exclude_image_id=entry.image_id)
-            rankings.append(
-                (entry.object_id, [index.entries[i].object_id for i, _ in ranked])
-            )
-        nn, ft, st = nn_ft_st(rankings, class_sizes)
+        vlads = np.stack([vlad_encode(desc, codebook) for desc in target_desc])
+        nn, ft, st = rank_and_score(vlads @ vlads.T, object_ids)
         rows.append((int(k), int(k) * net.descriptor_dim, nn, ft, st))
     write_score_rows(out_dir / f"eval_vlad_{split}.csv", ["k", "vlad_dim", "NN", "FT", "ST"], rows)
     _write_manifest(out_dir, f"manifest_eval_vlad_{split}.json", cfg, {"split": split, "rows": rows})
@@ -281,7 +272,7 @@ def cmd_eval_vlad(cfg: dict, out_dir: Path, data_dir: Path, model_path: Path, sp
 def cmd_sweep_tau(cfg: dict, out_dir: Path, data_dir: Path, model_path: Path, split: str) -> None:
     net = load_net(model_path)
     dataset = load_dataset(data_dir / f"{split}.bags", split)
-    best_tau, rows = sweep_tau(dataset, net, _grid(cfg))
+    best_tau, rows = sweep_tau(dataset, net, cfg["retrieval"]["tau_grid"])
     write_score_rows(out_dir / f"sweep_{split}.csv", ["tau", "NN", "FT", "ST"], rows)
     _write_manifest(
         out_dir, f"manifest_sweep_{split}.json", cfg, {"split": split, "best_tau": best_tau}
@@ -321,8 +312,6 @@ def main(argv=None) -> int:
     try:
         raw = json.loads(args.config.read_text()) if args.config else {}
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed must be non-negative")
             raw = dict(raw)
             raw["seed"] = args.seed
         cfg = resolve_config(raw)

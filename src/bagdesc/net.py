@@ -206,11 +206,14 @@ def load_net(path) -> DescriptorNet:
             count = int(header["count"])
         except (ValueError, KeyError, TypeError) as exc:
             raise IntegrityError(f"malformed header: {exc}") from exc
-        expected = _layer_shapes(FULL_CHANNELS, FULL_DESCRIPTOR_DIM)
-        if shapes != [tuple(s) for s in expected]:
+        # The conv and fc output widths in the header fix every other shape.
+        widths = [s[0] for s in shapes[::2] if s and type(s[0]) is int and s[0] > 0]
+        expected = _layer_shapes(widths[:-1], widths[-1]) if len(widths) == 5 else None
+        if shapes != expected:
             raise ShapeError(f"layer shapes {shapes} do not match the expected architecture")
-        if count != FULL_PARAM_COUNT:
-            raise ShapeError(f"parameter count {count} != {FULL_PARAM_COUNT}")
+        total = sum(int(np.prod(shape)) for shape in expected)
+        if count != total:
+            raise ShapeError(f"parameter count {count} != {total}")
         payload = fh.read()
     if len(payload) != 4 * count:
         raise IntegrityError(
@@ -225,4 +228,4 @@ def load_net(path) -> DescriptorNet:
         size = int(np.prod(shape))
         params[name] = Tensor(values[offset : offset + size].reshape(shape))
         offset += size
-    return DescriptorNet(params)
+    return DescriptorNet(params, tuple(widths[:-1]), widths[-1])

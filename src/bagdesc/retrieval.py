@@ -12,12 +12,13 @@ with C members, averaged over all queries. Queries never rank themselves.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import BagDataset
-from .matching import GramPair, hard_match_score
+from .matching import ROW_NORM_TOL, GramPair, hard_match_score
 from .net import DescriptorNet, forward_bag
 
 __all__ = [
@@ -25,7 +26,9 @@ __all__ = [
     "RetrievalIndex",
     "VladCodebook",
     "build_match_index",
+    "hard_score_matrix",
     "match_retrieve",
+    "rank_and_score",
     "nn_ft_st",
     "sweep_tau",
     "default_tau_grid",
@@ -51,9 +54,6 @@ class RetrievalIndex:
         ids = [e.image_id for e in self.entries]
         if len(set(ids)) != len(ids):
             raise ValueError("image ids must be unique")
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 @dataclass
@@ -89,6 +89,14 @@ def build_match_index(net: DescriptorNet, dataset: BagDataset) -> RetrievalIndex
     return RetrievalIndex(entries)
 
 
+def _ranked(scored) -> list[tuple[int, float]]:
+    """(id, score) pairs by descending score; ties by ascending id."""
+    ranked = sorted(scored, key=lambda item: (-item[1], item[0]))
+    if not ranked:
+        raise ValueError("index has no entries to rank")
+    return ranked
+
+
 def match_retrieve(
     query_desc: np.ndarray,
     index: RetrievalIndex,
@@ -97,14 +105,33 @@ def match_retrieve(
 ) -> list[tuple[int, float]]:
     """Database images by descending hard match score; ties by ascending id."""
     candidates = [e for e in index.entries if e.image_id != exclude_image_id]
-    if not candidates:
-        raise ValueError("index has no entries to rank")
-    scored = [
-        (e.image_id, hard_match_score(GramPair(query_desc, e.payload), tau))
-        for e in candidates
+    return _ranked(
+        (e.image_id, hard_match_score(GramPair(query_desc, e.payload), tau)) for e in candidates
+    )
+
+
+def hard_score_matrix(index: RetrievalIndex, taus) -> np.ndarray:
+    """[T, B, B]: entry [t, q, r] is hard_match_score(GramPair(q, r), taus[t]),
+    bit for bit, from one stacked product per query and one unit-norm check."""
+    descs = np.stack([np.asarray(e.payload, dtype=np.float64) for e in index.entries])
+    deviation = np.abs(np.linalg.norm(descs, axis=2) - 1.0)
+    if np.any(deviation > ROW_NORM_TOL):
+        raise ValueError(f"index has non-unit rows (max deviation {deviation.max():.2e})")
+    mins = np.stack([(2.0 - 2.0 * (d @ descs.transpose(0, 2, 1))).min(axis=2) for d in descs])
+    return np.mean(mins <= np.reshape(taus, (-1, 1, 1, 1)), axis=3)
+
+
+def rank_and_score(scores: np.ndarray, object_ids) -> tuple[float, float, float]:
+    """NN / FT / ST when each row q of the [B, B] scores ranks every other
+    index (ties by ascending index); class sizes are counted from object_ids."""
+    ids = list(object_ids)
+    if np.shape(scores) != (len(ids), len(ids)):
+        raise ValueError(f"scores {np.shape(scores)} do not match {len(ids)} object ids")
+    rankings = [
+        (ids[q], [ids[r] for r, _ in _ranked((r, s) for r, s in enumerate(row) if r != q)])
+        for q, row in enumerate(np.asarray(scores, dtype=np.float64).tolist())
     ]
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return scored
+    return nn_ft_st(rankings, Counter(ids))
 
 
 def nn_ft_st(
@@ -139,19 +166,6 @@ def default_tau_grid() -> np.ndarray:
     return np.round(np.arange(1, 41) * 0.05, 2)
 
 
-def _rank_all(index: RetrievalIndex, tau: float) -> list[tuple[int, list[int]]]:
-    by_id = {e.image_id: e for e in index.entries}
-    rankings = []
-    for entry in index.entries:
-        ranked = match_retrieve(entry.payload, index, tau, exclude_image_id=entry.image_id)
-        rankings.append((entry.object_id, [by_id[i].object_id for i, _ in ranked]))
-    return rankings
-
-
-def _dataset_class_sizes(dataset: BagDataset) -> dict[int, int]:
-    return {oid: len(views) for oid, views in dataset.by_object.items()}
-
-
 def sweep_tau(
     dataset: BagDataset,
     net: DescriptorNet,
@@ -165,15 +179,22 @@ def sweep_tau(
     if np.any(grid <= 0.0) or np.any(grid >= 4.0):
         raise ValueError("tau grid values must lie in (0, 4)")
     index = build_match_index(net, dataset)
-    class_sizes = _dataset_class_sizes(dataset)
-    rows = []
-    best = None
-    for tau in grid:
-        nn, ft, st = nn_ft_st(_rank_all(index, float(tau)), class_sizes)
-        rows.append((float(tau), nn, ft, st))
-        if best is None or (nn, ft) > (rows[best][1], rows[best][2]):
-            best = len(rows) - 1
-    return rows[best][0], rows
+    object_ids = [e.object_id for e in index.entries]
+    rows = [
+        (float(tau), *rank_and_score(scores, object_ids))
+        for tau, scores in zip(grid, hard_score_matrix(index, grid))
+    ]
+    return max(rows, key=lambda row: (row[1], row[2], -row[0]))[0], rows
+
+
+def _nearest_centroid(points: np.ndarray, centroids: np.ndarray):
+    """(index of each point's nearest centroid, lowest on ties; [m, k] squared distances)."""
+    d2 = (
+        np.sum(points * points, axis=1)[:, None]
+        - 2.0 * points @ centroids.T
+        + np.sum(centroids * centroids, axis=1)[None]
+    )
+    return np.argmin(d2, axis=1), d2
 
 
 def kmeans(
@@ -212,12 +233,7 @@ def kmeans(
     history: list[float] = []
     previous = None
     for _ in range(max_iters):
-        d2 = (
-            np.sum(points * points, axis=1)[:, None]
-            - 2.0 * points @ centroids.T
-            + np.sum(centroids * centroids, axis=1)[None]
-        )
-        assign = np.argmin(d2, axis=1)
+        assign, d2 = _nearest_centroid(points, centroids)
         own_dist = d2[np.arange(m), assign].copy()
         for c in range(k):
             if not np.any(assign == c):
@@ -247,12 +263,7 @@ def vlad_encode(descriptors: np.ndarray, codebook: VladCodebook) -> np.ndarray:
         raise ValueError(
             f"descriptors {points.shape} incompatible with centroids {cents.shape}"
         )
-    d2 = (
-        np.sum(points * points, axis=1)[:, None]
-        - 2.0 * points @ cents.T
-        + np.sum(cents * cents, axis=1)[None]
-    )
-    assign = np.argmin(d2, axis=1)
+    assign, _ = _nearest_centroid(points, cents)
     blocks = np.zeros_like(cents)
     np.add.at(blocks, assign, points - cents[assign])
     flat = blocks.reshape(-1)
@@ -268,16 +279,12 @@ def vlad_retrieve(
     """Database images by descending inner product; ties by ascending id."""
     query = np.asarray(query_vlad, dtype=np.float64)
     candidates = [e for e in index.entries if e.image_id != exclude_image_id]
-    if not candidates:
-        raise ValueError("index has no entries to rank")
     for e in candidates:
         if e.payload.shape != query.shape:
             raise ValueError(
                 f"VLAD dimension mismatch: query {query.shape}, entry {e.payload.shape}"
             )
-    scored = [(e.image_id, float(e.payload @ query)) for e in candidates]
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return scored
+    return _ranked((e.image_id, float(e.payload @ query)) for e in candidates)
 
 
 def write_score_rows(path, header: list[str], rows) -> None:

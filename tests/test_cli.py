@@ -64,6 +64,40 @@ def test_resolve_config_rejects_single_object():
         resolve_config({"data": {"objects": 1}})
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("retrieval", "tau_grid", ["a"]),
+        ("retrieval", "tau_grid", [0.1, True]),
+        ("retrieval", "tau_grid", 0.5),
+        ("retrieval", "k_list", "24"),
+        ("retrieval", "k_list", [2.5]),
+        ("retrieval", "k_list", [True]),
+        ("retrieval", "kmeans_iters", 2.5),
+        ("train", "rounds", 2.5),
+        ("train", "batch_size", "8"),
+        ("train", "lr0", "fast"),
+        ("data", "objects", 20.5),
+        ("data", "views", True),
+        ("data", "train_fraction", None),
+        ("match", "beta", float("inf")),
+    ],
+)
+def test_resolve_config_rejects_mistyped_fields(tmp_path, section, key, value):
+    with pytest.raises(ConfigError, match=key):
+        resolve_config({section: {key: value}})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({section: {key: value}}))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "gen-data"]) == 1
+
+
+def test_resolve_config_accepts_ints_for_floats_and_rejects_bool_seed():
+    cfg = resolve_config({"match": {"beta": 20}, "retrieval": {"tau_grid": [1, 0.5]}})
+    assert cfg["match"]["beta"] == 20
+    with pytest.raises(ConfigError, match="seed"):
+        resolve_config({"seed": True})
+
+
 def test_gen_data_outputs(generated):
     out, _ = generated
     ids = {}
@@ -154,6 +188,8 @@ def test_invalid_config_fails_before_writing(tmp_path):
     assert main(["--config", str(bad), "--out", str(out), "gen-data"]) == 1
     assert not any(out.glob("*.bags"))
     assert not (out / "manifest_gen_data.json").exists()
+    assert main(["--seed", "-1", "--out", str(out), "gen-data"]) == 1
+    assert not any(out.glob("*.bags"))
 
 
 def test_missing_model_is_an_error(generated, tmp_path):

@@ -1,10 +1,15 @@
 """Descriptor network: shapes, parameter count, serialization, gradients."""
 
+import json
+
 import numpy as np
 import pytest
 
 from bagdesc.net import (
+    FULL_CHANNELS,
+    FULL_DESCRIPTOR_DIM,
     FULL_PARAM_COUNT,
+    MODEL_MAGIC,
     IntegrityError,
     REDUCED_CHANNELS,
     REDUCED_DESCRIPTOR_DIM,
@@ -176,12 +181,52 @@ def test_load_rejects_corruption(tmp_path):
         load_net(nan_payload)
 
 
-def test_load_rejects_wrong_parameter_count(tmp_path):
-    net = init_net(0, channels=REDUCED_CHANNELS, descriptor_dim=REDUCED_DESCRIPTOR_DIM)
+def test_save_load_round_trip_reduced_width(tmp_path):
+    net = init_net(3, channels=REDUCED_CHANNELS, descriptor_dim=REDUCED_DESCRIPTOR_DIM)
     path = tmp_path / "small.net"
     save_net(net, path)
-    with pytest.raises(ShapeError):
-        load_net(path)
+    loaded = load_net(path)
+    assert loaded.channels == REDUCED_CHANNELS
+    assert loaded.descriptor_dim == REDUCED_DESCRIPTOR_DIM
+    for name in net.params:
+        assert np.array_equal(
+            loaded.params[name].data, net.params[name].data.astype(np.float32).astype(np.float64)
+        )
+    path2 = tmp_path / "small2.net"
+    save_net(loaded, path2)
+    assert path.read_bytes() == path2.read_bytes()
+
+
+def _rewrite_header(raw: bytes, edit) -> bytes:
+    header_end = raw.index(b"\n") + 1
+    header = json.loads(raw[len(MODEL_MAGIC):header_end])
+    edit(header)
+    return MODEL_MAGIC + (json.dumps(header) + "\n").encode("ascii") + raw[header_end:]
+
+
+def test_load_rejects_wrong_parameter_count(tmp_path):
+    for channels, dim in ((FULL_CHANNELS, FULL_DESCRIPTOR_DIM), (REDUCED_CHANNELS, REDUCED_DESCRIPTOR_DIM)):
+        path = tmp_path / "model.net"
+        save_net(init_net(0, channels=channels, descriptor_dim=dim), path)
+        raw = path.read_bytes()
+
+        def miscount(header):
+            header["count"] += 1
+
+        def widen_conv2(header):  # conv2's output no longer feeds conv3
+            header["shapes"][2][0] += 1
+            header["shapes"][3][0] += 1
+
+        def drop_fc_bias(header):
+            del header["shapes"][-1]
+
+        def float_width(header):
+            header["shapes"][0][0] = float(header["shapes"][0][0])
+
+        for edit in (miscount, widen_conv2, drop_fc_bias, float_width):
+            path.write_bytes(_rewrite_header(raw, edit))
+            with pytest.raises(ShapeError):
+                load_net(path)
 
 
 def test_reduced_net_end_to_end_gradients():

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import bagdesc.retrieval as retrieval
 from bagdesc.data import BagDataset, PatchBag
+from bagdesc.matching import GramPair, hard_match_score, sqdist_matrix
 from bagdesc.net import init_net
 from bagdesc.retrieval import (
     RetrievalEntry,
@@ -11,9 +13,11 @@ from bagdesc.retrieval import (
     VladCodebook,
     build_match_index,
     default_tau_grid,
+    hard_score_matrix,
     kmeans,
     match_retrieve,
     nn_ft_st,
+    rank_and_score,
     sweep_tau,
     vlad_encode,
     vlad_retrieve,
@@ -67,6 +71,92 @@ def test_match_retrieve_excludes_query_and_rejects_empty():
     assert match_retrieve(e, index, 0.5) == [(0, 1.0)]
     with pytest.raises(ValueError):
         match_retrieve(e, index, 0.5, exclude_image_id=0)
+
+
+def duplicated_index(rng, n, d, views=3, objects=4):
+    """Unit-row bags of `objects` classes; entries 1 and 5 are exact copies."""
+    payloads = [unit_rows(rng.normal(size=(n, d))) for _ in range(views * objects)]
+    payloads[5] = payloads[1].copy()
+    return RetrievalIndex(
+        [RetrievalEntry(i, i % objects, p) for i, p in enumerate(payloads)]
+    )
+
+
+def test_hard_score_matrix_matches_pairwise_scores():
+    rng = np.random.default_rng(4)
+    for n, d in ((5, 3), (12, 64), (32, 64)):
+        index = duplicated_index(rng, n, d)
+        # the last tau sits exactly on a row minimum: `<=` counts that row
+        exact = sqdist_matrix(GramPair(index.entries[0].payload, index.entries[1].payload))
+        taus = [0.05, 0.5, 1.0, 1.5, 2.0, 3.9, float(np.median(exact.min(axis=1)))]
+        scores = hard_score_matrix(index, taus)
+        assert scores.shape == (len(taus), len(index.entries), len(index.entries))
+        for t, tau in enumerate(taus):
+            for q, query in enumerate(index.entries):
+                for r, entry in enumerate(index.entries):
+                    expected = hard_match_score(GramPair(query.payload, entry.payload), tau)
+                    assert scores[t, q, r] == expected
+
+
+def test_hard_score_matrix_rejects_non_unit_row():
+    index = duplicated_index(np.random.default_rng(5), 4, 8)
+    index.entries[2].payload[3] *= 1.0 + 1e-4
+    with pytest.raises(ValueError, match="non-unit"):
+        hard_score_matrix(index, [0.5])
+
+
+def rankings_seen_by_nn_ft_st(monkeypatch, scores, object_ids):
+    seen = []
+
+    def record(rankings, class_sizes):
+        seen.append((rankings, dict(class_sizes)))
+        return nn_ft_st(rankings, class_sizes)
+
+    monkeypatch.setattr(retrieval, "nn_ft_st", record)
+    result = rank_and_score(scores, object_ids)
+    monkeypatch.undo()
+    assert len(seen) == 1
+    assert result == nn_ft_st(*seen[0])
+    return seen[0]
+
+
+def test_rank_and_score_matches_match_retrieve(monkeypatch):
+    rng = np.random.default_rng(6)
+    for _ in range(4):
+        index = duplicated_index(rng, 4, 3)
+        object_ids = [e.object_id for e in index.entries]
+        for tau, scores in zip((0.2, 0.8, 2.5), hard_score_matrix(index, (0.2, 0.8, 2.5))):
+            rankings, sizes = rankings_seen_by_nn_ft_st(monkeypatch, scores, object_ids)
+            expected = [
+                (e.object_id, [object_ids[i] for i, _ in
+                               match_retrieve(e.payload, index, tau, exclude_image_id=e.image_id)])
+                for e in index.entries
+            ]
+            assert rankings == expected
+            assert sizes == {0: 3, 1: 3, 2: 3, 3: 3}
+
+
+def test_rank_and_score_matches_vlad_retrieve(monkeypatch):
+    rng = np.random.default_rng(7)
+    vlads = unit_rows(rng.normal(size=(10, 6)))
+    vlads[7] = vlads[2]
+    vlads[4] = vlads[8] = 0.0  # all-zero encodings tie at score 0
+    index = RetrievalIndex([RetrievalEntry(i, i % 5, v) for i, v in enumerate(vlads)])
+    object_ids = [e.object_id for e in index.entries]
+    rankings, _ = rankings_seen_by_nn_ft_st(monkeypatch, vlads @ vlads.T, object_ids)
+    for (query_obj, retrieved), e in zip(rankings, index.entries):
+        ranked = vlad_retrieve(e.payload, index, exclude_image_id=e.image_id)
+        assert (query_obj, retrieved) == (e.object_id, [object_ids[i] for i, _ in ranked])
+
+
+def test_rank_and_score_ties_by_index_and_leaves_query_out():
+    # self-scores are highest and every other score ties, so each query
+    # ranks the others by index: queries 0-2 retrieve objects [0,0,1,1]
+    # and queries 3-4 retrieve [0,0,0,1]
+    nn, ft, st = rank_and_score(np.ones((5, 5)) + np.eye(5), [0, 0, 0, 1, 1])
+    assert (nn, ft, st) == (0.6, 0.6, 0.6)
+    with pytest.raises(ValueError):
+        rank_and_score(np.ones((3, 4)), [0, 0, 1])
 
 
 def test_nn_ft_st_worked_example():
@@ -133,8 +223,6 @@ def test_sweep_tau_single_value_and_tie_rule():
     net = init_net(0)
     index = build_match_index(net, ds)
     # cross-object minimum squared distance bounds the usable range
-    from bagdesc.matching import GramPair, sqdist_matrix
-
     cross = sqdist_matrix(GramPair(index.entries[0].payload, index.entries[2].payload)).min()
     lo = float(cross) / 4.0
     best, rows = sweep_tau(ds, net, [lo])
@@ -145,6 +233,12 @@ def test_sweep_tau_single_value_and_tie_rule():
     best, rows = sweep_tau(ds, net, [lo, cross * 0.9])
     assert best == pytest.approx(lo)
     assert all(r[1] == 1.0 for r in rows)
+    # the tie goes to the smallest tau wherever it sits in the grid
+    best, rows = sweep_tau(ds, net, [cross * 0.9, lo])
+    assert best == pytest.approx(lo)
+    best, rows = sweep_tau(ds, net, [3.9, 3.8])
+    assert rows[0][1:] == rows[1][1:]
+    assert best == 3.8
     with pytest.raises(ValueError):
         sweep_tau(ds, net, [])
     with pytest.raises(ValueError):
