@@ -33,7 +33,7 @@ from .retrieval import (
 )
 # Unused here, but perfbench/tracer.py wraps these names in this module.
 from .retrieval import match_retrieve, nn_ft_st, vlad_retrieve  # noqa: F401
-from .train import TrainConfig, train, write_loss_curves
+from .train import TrainConfig, split_seed, train, write_loss_curves
 
 __all__ = ["main", "ConfigError", "DEFAULT_CONFIG"]
 
@@ -148,15 +148,6 @@ def _split_counts(data_cfg: dict) -> dict:
     return {"train": n_train, "val": n_val, "test": n_test}
 
 
-def _seeds(master: int) -> dict:
-    children = np.random.SeedSequence(master).spawn(3)
-    return {
-        "data": int(children[0].generate_state(1)[0]),
-        "train": int(children[1].generate_state(1)[0]),
-        "retrieval": int(children[2].generate_state(1)[0]),
-    }
-
-
 def _match_config(cfg: dict) -> MatchConfig:
     m = cfg["match"]
     try:
@@ -168,8 +159,9 @@ def _match_config(cfg: dict) -> MatchConfig:
 def _train_config(cfg: dict) -> TrainConfig:
     t = dict(cfg["train"])
     t.pop("val_triplets")
+    train_seed = int(split_seed(cfg["seed"])[1].generate_state(1)[0])
     try:
-        return TrainConfig(match=_match_config(cfg), seed=_seeds(cfg["seed"])["train"], **t)
+        return TrainConfig(match=_match_config(cfg), seed=train_seed, **t)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -183,7 +175,7 @@ def _write_manifest(out_dir: Path, name: str, cfg: dict, extra: dict) -> None:
 def cmd_gen_data(cfg: dict, out_dir: Path) -> None:
     d = cfg["data"]
     counts = _split_counts(d)
-    data_seed = _seeds(cfg["seed"])["data"]
+    data_seed = int(split_seed(cfg["seed"])[0].generate_state(1)[0])
     first_id = 0
     files = {}
     for split in ("train", "val", "test"):
@@ -255,7 +247,7 @@ def cmd_eval_vlad(cfg: dict, out_dir: Path, data_dir: Path, model_path: Path, sp
     net = load_net(model_path)
     tuning = load_dataset(data_dir / "val.bags", "val")
     target = load_dataset(data_dir / f"{split}.bags", split)
-    kmeans_seed = _seeds(cfg["seed"])["retrieval"]
+    kmeans_seed = int(split_seed(cfg["seed"])[2].generate_state(1)[0])
     pool = np.concatenate([forward_bag(net, bag).data for bag in tuning.bags])
     target_desc = [forward_bag(net, bag).data for bag in target.bags]
     object_ids = [bag.object_id for bag in target.bags]

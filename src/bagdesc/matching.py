@@ -52,10 +52,10 @@ class MatchConfig:
     def __post_init__(self):
         if not 0.0 < self.tau < 4.0:
             raise ValueError(f"tau must lie in (0, 4), got {self.tau}")
-        if self.beta <= 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.beta < np.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
 
 
 class GramPair:

@@ -9,6 +9,11 @@ computed from Tensors can be differentiated with `Tensor.backward()`.
 Gradients accumulate: callers zero them between optimizer steps. Convolution
 is valid (no padding) cross-correlation; maxpool routes the gradient to the
 first (row-major) argmax of each window. All arithmetic is 64-bit.
+
+Image activations are stored batch-innermost: conv2d, maxpool2x2 and their
+input gradients return [B,C,H,W] views of contiguous [C,H,W,B] memory, which
+element-wise ops preserve. conv2d copies an input in any other layout into
+this one, so every im2col window copy is a contiguous run of B values.
 """
 
 from __future__ import annotations
@@ -137,52 +142,44 @@ def _with_batch(x: np.ndarray, core_ndim: int) -> tuple[np.ndarray, bool]:
     raise ShapeError(f"expected {core_ndim}D or {core_ndim + 1}D input, got shape {x.shape}")
 
 
-def _im2col_t(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """[B,C,H,W] -> [C*kh*kw, B*Ho*Wo] patch matrix (copies).
+def _im2col_t(xs: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """[C,H,W,B] storage -> [C*kh*kw, Ho*Wo*B] patch matrix (copies).
 
     The reduction axis comes first so the convolution GEMM can run in its
-    fastest orientation (weights-on-the-left, long output axis).
+    fastest orientation (weights-on-the-left, long output axis), and the
+    columns run in (ho, wo, b) order, the order of the output's storage.
     """
-    b, c, h, w = x.shape
+    c, h, w, b = xs.shape
     ho = (h - kh) // stride + 1
     wo = (w - kw) // stride + 1
-    sb, sc, sh, sw = x.strides
+    sc, sh, sw, sb = xs.strides
     windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(c, kh, kw, b, ho, wo),
-        strides=(sc, sh, sw, sb, stride * sh, stride * sw),
+        xs,
+        shape=(c, kh, kw, ho, wo, b),
+        strides=(sc, sh, sw, stride * sh, stride * sw, sb),
         writeable=False,
     )
-    return windows.reshape(c * kh * kw, b * ho * wo)
+    return windows.reshape(c * kh * kw, ho * wo * b)
 
 
-def _conv_forward_data(
-    xd: np.ndarray, wmat: np.ndarray, bias: np.ndarray, kh: int, kw: int, stride: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Shared convolution kernel: returns ([B,Cout,Ho,Wo] output, colsT)."""
-    b = xd.shape[0]
-    ho = (xd.shape[2] - kh) // stride + 1
-    wo = (xd.shape[3] - kw) // stride + 1
-    cols_t = _im2col_t(xd, kh, kw, stride)
-    out = wmat @ cols_t
-    out += bias[:, None]
-    cout = wmat.shape[0]
-    return out.reshape(cout, b, ho, wo).transpose(1, 0, 2, 3), cols_t
+def _col2im_t(weights: np.ndarray, gmat: np.ndarray, sshape: tuple, stride: int) -> np.ndarray:
+    """Scatter-add W^T @ gmat ([Cout, Ho*Wo*B] output gradient) onto [C,H,W,B].
 
-
-def _col2im_t(dcols_t: np.ndarray, xshape: tuple, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Scatter-add [C*kh*kw, B*Ho*Wo] gradients back onto the input grid."""
-    b, c, h, w = xshape
+    One kernel offset's block of rows at a time, in one reused buffer: the
+    [C*kh*kw, Ho*Wo*B] column gradient is never stored whole.
+    """
+    c, h, w, b = sshape
+    _, _, kh, kw = weights.shape
     ho = (h - kh) // stride + 1
     wo = (w - kw) // stride + 1
-    d6 = dcols_t.reshape(c, kh, kw, b, ho, wo)
-    dx = np.zeros(xshape, dtype=np.float64)
+    w_t = np.ascontiguousarray(weights.transpose(2, 3, 1, 0))  # [kh,kw,C,Cout]
+    dxs = np.zeros(sshape, dtype=np.float64)
+    block = np.empty((c, ho, wo, b), dtype=np.float64)
     for i in range(kh):
         for j in range(kw):
-            dx[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += d6[
-                :, i, j
-            ].transpose(1, 0, 2, 3)
-    return dx
+            np.matmul(w_t[i, j], gmat, out=block.reshape(c, ho * wo * b))
+            dxs[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += block
+    return dxs
 
 
 def conv2d(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
@@ -206,17 +203,18 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
         raise ShapeError(f"input {h}x{w} smaller than kernel {kh}x{kw}")
     ho = (h - kh) // stride + 1
     wo = (w - kw) // stride + 1
-    wmat = weights.data.reshape(cout, cin * kh * kw)
-    out, cols_t = _conv_forward_data(xd, wmat, bias.data, kh, kw, stride)
+    cols_t = _im2col_t(np.ascontiguousarray(xd.transpose(1, 2, 3, 0)), kh, kw, stride)
+    out = weights.data.reshape(cout, cin * kh * kw) @ cols_t
+    out += bias.data[:, None]
+    out = out.reshape(cout, ho, wo, b).transpose(3, 0, 1, 2)
 
     def backward_fn(grad: np.ndarray) -> None:
         g = grad[None] if squeeze else grad
-        gmat = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(cout, b * ho * wo)
+        gmat = np.ascontiguousarray(g.transpose(1, 2, 3, 0)).reshape(cout, ho * wo * b)
         bias.accumulate_grad(gmat.sum(axis=1))
         weights.accumulate_grad((gmat @ cols_t.T).reshape(weights.data.shape))
         if x.requires_grad:
-            dcols_t = wmat.T @ gmat
-            dx = _col2im_t(dcols_t, xd.shape, kh, kw, stride)
+            dx = _col2im_t(weights.data, gmat, (c, h, w, b), stride).transpose(3, 0, 1, 2)
             x.accumulate_grad(dx[0] if squeeze else dx)
 
     return Tensor(out[0] if squeeze else out, (x, weights, bias), backward_fn)
@@ -236,31 +234,32 @@ def maxpool2x2(x: Tensor) -> Tensor:
     """Non-overlapping 2x2 window maximum over [C,H,W] or [B,C,H,W].
 
     The backward pass routes each window's gradient to its first (row-major)
-    argmax position.
+    argmax position, as `np.argmax` picks it: the first NaN, if any.
     """
     xd, squeeze = _with_batch(x.data, 3)
     b, c, h, w = xd.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2 requires even spatial extents, got {h}x{w}")
-    win = (
-        xd.reshape(b, c, h // 2, 2, w // 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(b, c, h // 2, w // 2, 4)
-    )
-    idx = win.argmax(axis=-1)
-    out = win.max(axis=-1)
+    xs = xd.transpose(1, 2, 3, 0)
+    corners = [xs[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+    out = np.maximum(np.maximum(np.maximum(corners[0], corners[1]), corners[2]), corners[3])
+    # The argmax is the number of leading corners that miss the maximum; a
+    # NaN corner never misses, and a NaN maximum is missed by every number.
+    misses = [(corner != out) & (corner == corner) for corner in corners[:3]]
+    misses[1] &= misses[0]
+    misses[2] &= misses[1]
+    idx = sum(m.view(np.int8) for m in misses)
 
     def backward_fn(grad: np.ndarray) -> None:
         g = grad[None] if squeeze else grad
-        dwin = np.zeros_like(win)
-        np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
-        dx = (
-            dwin.reshape(b, c, h // 2, w // 2, 2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(b, c, h, w)
-        )
+        gs = g.transpose(1, 2, 3, 0)
+        dxs = np.empty((c, h, w, b), dtype=np.float64)
+        for k in range(4):
+            dxs[:, k // 2 :: 2, k % 2 :: 2] = np.where(idx == k, gs, 0.0)
+        dx = dxs.transpose(3, 0, 1, 2)
         x.accumulate_grad(dx[0] if squeeze else dx)
 
+    out = out.transpose(3, 0, 1, 2)
     return Tensor(out[0] if squeeze else out, (x,), backward_fn)
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "run_round",
     "validate",
     "train",
+    "split_seed",
     "write_loss_curves",
 ]
 
@@ -51,8 +52,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr0 <= 0:
-            raise ValueError(f"lr0 must be positive, got {self.lr0}")
+        if not 0.0 < self.lr0 < np.inf:
+            raise ValueError(f"lr0 must be positive and finite, got {self.lr0}")
         if min(self.batch_size, self.triplets_per_round, self.rounds) < 1:
             raise ValueError("batch_size, triplets_per_round and rounds must be positive")
         if self.iters_per_round < 0:
@@ -63,8 +64,8 @@ class TrainConfig:
             raise ValueError(f"patience must be at least 1, got {self.patience}")
         if not 0.0 <= self.rmsprop_decay < 1.0:
             raise ValueError(f"rmsprop decay must lie in [0,1), got {self.rmsprop_decay}")
-        if self.rmsprop_eps <= 0:
-            raise ValueError("rmsprop eps must be positive")
+        if not 0.0 < self.rmsprop_eps < np.inf:
+            raise ValueError(f"rmsprop eps must be positive and finite, got {self.rmsprop_eps}")
         if self.batch_size > self.triplets_per_round:
             raise ValueError("batch cannot exceed the round's triplet pool")
 
@@ -75,6 +76,13 @@ class RoundReport:
     train_loss: float
     val_loss: float
     lr: float
+
+
+def split_seed(master: int) -> list[np.random.SeedSequence]:
+    """Three independent child streams of `master`: the CLI's (data, train,
+    retrieval) seeds, or a train seed's (init, sampling, validation) streams.
+    """
+    return np.random.SeedSequence(master).spawn(3)
 
 
 def ratio_loss(score_pos: float, score_neg: float, epsilon: float) -> float:
@@ -244,10 +252,10 @@ def train(
     round sampling, and the fixed validation triplet list. `valset` may be a
     BagDataset (triplets are drawn from it once) or an explicit triplet list.
     """
-    seeds = np.random.SeedSequence(cfg.seed).spawn(3)
-    init_seed = int(seeds[0].generate_state(1)[0])
-    sample_rng = np.random.Generator(np.random.PCG64(seeds[1]))
-    val_rng = np.random.Generator(np.random.PCG64(seeds[2]))
+    init, sampling, validation = split_seed(cfg.seed)
+    init_seed = int(init.generate_state(1)[0])
+    sample_rng = np.random.Generator(np.random.PCG64(sampling))
+    val_rng = np.random.Generator(np.random.PCG64(validation))
 
     kwargs = {}
     if channels is not None:

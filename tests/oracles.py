@@ -49,6 +49,37 @@ def conv2d_loop(x, w, b, stride):
     return out
 
 
+def conv2d_backward_loop(x, w, grad, stride):
+    """Input, weight and bias gradients of conv2d_loop for upstream `grad`."""
+    cout, cin, kh, kw = w.shape
+    _, ho, wo = grad.shape
+    dx = np.zeros(x.shape)
+    dw = np.zeros(w.shape)
+    db = np.zeros(cout)
+    for oc in range(cout):
+        for oy in range(ho):
+            for ox in range(wo):
+                g = grad[oc, oy, ox]
+                rows = slice(oy * stride, oy * stride + kh)
+                cols = slice(ox * stride, ox * stride + kw)
+                dx[:, rows, cols] += g * w[oc]
+                dw[oc] += g * x[:, rows, cols]
+                db[oc] += g
+    return dx, dw, db
+
+
+def maxpool2x2_backward_loop(x, grad):
+    """Routes each window's gradient to its np.argmax position (row-major)."""
+    c, h, w = x.shape
+    dx = np.zeros(x.shape)
+    for ch in range(c):
+        for oy in range(h // 2):
+            for ox in range(w // 2):
+                k = int(np.argmax(x[ch, 2 * oy : 2 * oy + 2, 2 * ox : 2 * ox + 2]))
+                dx[ch, 2 * oy + k // 2, 2 * ox + k % 2] = grad[ch, oy, ox]
+    return dx
+
+
 def maxpool2x2_loop(x):
     c, h, w = x.shape
     out = np.zeros((c, h // 2, w // 2))

@@ -397,8 +397,8 @@ def _adaptive_match_section(trainset, init_seed, probe_seed):
 def _run_pipeline(workdir: Path, config: dict, master_seed: int):
     """gen-data + train + eval-match + eval-vlad through the CLI, plus the
     same evaluations for a freshly initialized (untrained) model."""
-    from bagdesc.cli import _seeds
     from bagdesc.data import load_dataset
+    from bagdesc.train import split_seed
 
     workdir.mkdir(parents=True, exist_ok=True)
     config = json.loads(json.dumps(config))
@@ -410,8 +410,8 @@ def _run_pipeline(workdir: Path, config: dict, master_seed: int):
 
     # pick tau/beta from the initial distance scale, as the training run will
     trainset = load_dataset(workdir / "train.bags", "train")
-    train_seed = _seeds(master_seed)["train"]
-    init_seed = int(np.random.SeedSequence(train_seed).spawn(3)[0].generate_state(1)[0])
+    train_seed = int(split_seed(master_seed)[1].generate_state(1)[0])
+    init_seed = int(split_seed(train_seed)[0].generate_state(1)[0])
     config["match"] = _adaptive_match_section(trainset, init_seed, master_seed + 99)
     cfg_path.write_text(json.dumps(config))
 

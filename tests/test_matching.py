@@ -44,6 +44,11 @@ def test_match_config_defaults_and_validation():
     for bad in (dict(tau=0.0), dict(tau=4.0), dict(beta=0.0), dict(epsilon=0.0)):
         with pytest.raises(ValueError):
             MatchConfig(**bad)
+    # every field rejects NaN and infinity (plain comparisons let NaN through)
+    for field in ("tau", "beta", "epsilon"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                MatchConfig(**{field: value})
 
 
 def test_gram_pair_rejects_non_unit_rows():

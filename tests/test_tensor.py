@@ -17,7 +17,14 @@ from bagdesc.tensor import (
     sum_squares,
 )
 
-from oracles import affine_loop, conv2d_loop, conv2d_sixloop, maxpool2x2_loop
+from oracles import (
+    affine_loop,
+    conv2d_backward_loop,
+    conv2d_loop,
+    conv2d_sixloop,
+    maxpool2x2_backward_loop,
+    maxpool2x2_loop,
+)
 
 RNG = np.random.default_rng(1234)
 
@@ -107,6 +114,102 @@ def test_maxpool_tie_gradient_goes_to_first_position():
     out = maxpool2x2(x)
     out.backward(np.ones((1, 1, 1)))
     assert np.array_equal(x.grad, [[[1.0, 0.0], [0.0, 0.0]]])
+
+
+LAYOUTS = ("c_contiguous", "batch_innermost", "strided_view", "unbatched")
+
+
+def _in_layout(arr, layout):
+    """`arr` ([B,C,H,W]) as the named kind of input array, same values."""
+    if layout == "c_contiguous":
+        return np.ascontiguousarray(arr)
+    if layout == "batch_innermost":
+        view = np.ascontiguousarray(arr.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+        assert view.strides[0] == arr.itemsize
+        return view
+    if layout == "strided_view":
+        b, c, h, w = arr.shape
+        base = np.full((2 * b, c, 2 * h, w + 3), np.inf)
+        view = base[::2, :, ::2, 1 : w + 1]
+        view[...] = arr
+        assert not view.flags.c_contiguous and not view.flags.f_contiguous
+        return view
+    return np.ascontiguousarray(arr[0])
+
+
+def _batched(arr):
+    return arr if arr.ndim == 4 else arr[None]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("stride", (1, 2))
+def test_conv2d_layouts_match_loop_oracle(layout, stride):
+    rng = np.random.default_rng(40 + stride)
+    batch = 1 if layout == "unbatched" else 3
+    x_in = _in_layout(rng.normal(size=(batch, 4, 9, 8)), layout)
+    w = Tensor(rng.normal(size=(5, 4, 3, 2)))
+    b = Tensor(rng.normal(size=5))
+    x = Tensor(x_in)
+    out = conv2d(x, w, b, stride=stride)
+    grad = rng.normal(size=out.data.shape)
+    out.backward(grad)
+    xs, outs, grads, dxs = _batched(x_in), _batched(out.data), _batched(grad), _batched(x.grad)
+    assert out.data.shape == (x_in.shape[:-3] + (5, (9 - 3) // stride + 1, (8 - 2) // stride + 1))
+    dw_ref = np.zeros(w.data.shape)
+    db_ref = np.zeros(5)
+    for i in range(xs.shape[0]):
+        # float64 sums of at most 4*3*2 = 24 products: rounding only
+        assert np.max(np.abs(outs[i] - conv2d_loop(xs[i], w.data, b.data, stride))) < 1e-12
+        dx_ref, dw_i, db_i = conv2d_backward_loop(xs[i], w.data, grads[i], stride)
+        # input gradient: sums of at most 5 * 3 * 2 products, in another order
+        assert np.max(np.abs(dxs[i] - dx_ref)) < 1e-12
+        dw_ref += dw_i
+        db_ref += db_i
+    # weight and bias gradients sum over the batch and every output pixel
+    # (at most 3 * 7 * 7 terms) in a different order: a few ulps of the total
+    assert np.max(np.abs(w.grad - dw_ref)) < 1e-12 * max(1.0, np.max(np.abs(dw_ref)))
+    assert np.max(np.abs(b.grad - db_ref)) < 1e-12 * max(1.0, np.max(np.abs(db_ref)))
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_maxpool_layouts_match_loop_oracle(layout):
+    rng = np.random.default_rng(50)
+    batch = 1 if layout == "unbatched" else 3
+    values = rng.normal(size=(batch, 4, 6, 8))
+    values[:, :, 0, 0] = values[:, :, 1, 1] = 5.0  # each first window: a tie for the max
+    x_in = _in_layout(values, layout)
+    x = Tensor(x_in)
+    out = maxpool2x2(x)
+    grad = rng.normal(size=out.data.shape)
+    out.backward(grad)
+    assert out.data.shape == x_in.shape[:-2] + (3, 4)
+    xs, outs, grads, dxs = _batched(x_in), _batched(out.data), _batched(grad), _batched(x.grad)
+    for i in range(xs.shape[0]):
+        # a maximum and a routed gradient are copies: exact
+        assert np.array_equal(outs[i], maxpool2x2_loop(xs[i]))
+        assert np.array_equal(dxs[i], maxpool2x2_backward_loop(xs[i], grads[i]))
+
+
+def test_maxpool_ties_and_nan_route_like_argmax():
+    nan = float("nan")
+    windows = [
+        [[1.0, 5.0], [2.0, 5.0]],  # tie between positions 1 and 3
+        [[1.0, nan], [3.0, nan]],  # two NaNs: the first one wins
+        [[7.0, 1.0], [2.0, nan]],  # a NaN after the largest number
+        [[nan, 9.0], [9.0, 1.0]],  # a NaN first
+    ]
+    x_data = np.concatenate([np.array(wnd) for wnd in windows], axis=1)[None]  # [1,2,8]
+    x = Tensor(x_data)
+    out = maxpool2x2(x)
+    out.backward(np.arange(1.0, 5.0).reshape(1, 1, 4))
+    for k, wnd in enumerate(windows):
+        block = x_data[0, :, 2 * k : 2 * k + 2]
+        first = int(np.argmax(block))
+        assert np.array_equal(out.data[0, 0, k], np.max(block), equal_nan=True)
+        expected = np.zeros(4)
+        expected[first] = k + 1.0
+        assert np.array_equal(x.grad[0, :, 2 * k : 2 * k + 2].ravel(), expected)
+    assert [int(np.argmax(np.array(w))) for w in windows] == [1, 1, 3, 0]
 
 
 def test_affine_identity_and_shapes():

@@ -7,13 +7,22 @@ src/ would otherwise only surface when `perfbench/run.py --trace 1` runs.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
-def test_tracer_installs_and_uninstalls():
+@pytest.fixture(scope="module")
+def tracer_module():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_uninstalls(tracer_module):
+    module = tracer_module
     originals = {
         (name, attr): getattr(module.MODULES[name], attr)
         for name, attr, _ in module.PLAIN_SPANS
@@ -25,3 +34,25 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     for (name, attr), original in originals.items():
         assert getattr(module.MODULES[name], attr) is original
+
+
+def test_traced_forward_and_backward_record_every_layer(tracer_module):
+    """A kernel refactor must not silently zero the per-layer metrics."""
+    net = tracer_module.MODULES["net"]
+    model = net.init_net(0, net.REDUCED_CHANNELS, net.REDUCED_DESCRIPTOR_DIM)
+    pixels = np.random.default_rng(0).uniform(0, 1, (2, 3, 32, 32))
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        desc = net.forward(model, pixels)
+        desc.backward(np.ones_like(desc.data))
+    finally:
+        tracer.uninstall()
+    names = {span[1] for span in tracer.spans}
+    for layer in range(1, tracer_module.CONV_LAYERS + 1):
+        assert {f"tensor.conv{layer}.fwd", f"tensor.conv{layer}.bwd"} <= names
+    assert {"tensor.maxpool.fwd", "tensor.maxpool.bwd", "net.forward", "net.backward"} <= names
+    metrics = tracer_module.layer_metrics(tracer, passes=1)
+    assert metrics["tensor.conv.im2col_bytes"][0] > 0
+    assert metrics["tensor.conv.col2im_bytes"][0] > 0
+    assert metrics["net.forward_patches"][0] == 2

@@ -63,6 +63,10 @@ def test_train_config_validation():
     ):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
+    for field in ("lr0", "rmsprop_decay", "rmsprop_eps"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                TrainConfig(**{field: value})
 
 
 def test_triplet_loss_equal_positive_and_negative_content():
