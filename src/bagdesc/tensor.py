@@ -13,7 +13,13 @@ first (row-major) argmax of each window. All arithmetic is 64-bit.
 Image activations are stored batch-innermost: conv2d, maxpool2x2 and their
 input gradients return [B,C,H,W] views of contiguous [C,H,W,B] memory, which
 element-wise ops preserve. conv2d copies an input in any other layout into
-this one, so every im2col window copy is a contiguous run of B values.
+this one, so every window it copies is a contiguous run of B values.
+
+conv2d lowers a few output rows at a time: it copies their windows into one
+column buffer and multiplies that block into its rows of the output. Its
+backward rebuilds each block's columns from the saved input instead of
+keeping them, so an activation's `data` must not be mutated between forward
+and backward.
 """
 
 from __future__ import annotations
@@ -38,6 +44,9 @@ __all__ = [
 
 # Norms at or below this are rejected by l2_normalize.
 NORM_FLOOR = 1e-12
+# Output rows per conv2d column block: each call lowers this many rows at a
+# time into one reused buffer instead of holding every row's columns.
+CONV_BLOCK_ROWS = 2
 
 
 class ShapeError(ValueError):
@@ -86,13 +95,18 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add `g` into `grad`; the first `g` becomes `grad` itself.
+
+        That first array is kept, not copied, and later gradients are added
+        into it in place: pass an array that nothing else holds or writes
+        (copy a view of a buffer first).
+        """
         if g.shape != self.data.shape:
             raise ShapeError(
                 f"gradient shape {g.shape} does not match tensor shape {self.data.shape}"
             )
         if self.grad is None:
-            # Copy (not alias): callers may pass views of their own buffers.
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = np.asarray(g, dtype=np.float64)
         else:
             self.grad += g
 
@@ -100,7 +114,7 @@ class Tensor:
         """Propagate `seed` (default: ones) back through the graph."""
         if seed is None:
             seed = np.ones_like(self.data)
-        seed = np.asarray(seed, dtype=np.float64)
+        seed = np.array(seed, dtype=np.float64)  # a copy: it becomes self.grad
         if seed.shape != self.data.shape:
             raise ShapeError(
                 f"seed shape {seed.shape} does not match output shape {self.data.shape}"
@@ -142,44 +156,26 @@ def _with_batch(x: np.ndarray, core_ndim: int) -> tuple[np.ndarray, bool]:
     raise ShapeError(f"expected {core_ndim}D or {core_ndim + 1}D input, got shape {x.shape}")
 
 
-def _im2col_t(xs: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """[C,H,W,B] storage -> [C*kh*kw, Ho*Wo*B] patch matrix (copies).
+def _block_cols(
+    buf: np.ndarray, xs: np.ndarray, kh: int, kw: int, stride: int, y0: int, y1: int
+) -> np.ndarray:
+    """Copy the im2col windows of output rows [y0, y1) into the front of `buf`.
 
-    The reduction axis comes first so the convolution GEMM can run in its
-    fastest orientation (weights-on-the-left, long output axis), and the
-    columns run in (ho, wo, b) order, the order of the output's storage.
+    `xs` is [C,H,W,B] storage. Returns the [C*kh*kw, (y1-y0)*Wo*B] column
+    block: the reduction axis first, columns in (ho, wo, b) storage order.
     """
-    c, h, w, b = xs.shape
-    ho = (h - kh) // stride + 1
+    c, _, w, b = xs.shape
     wo = (w - kw) // stride + 1
     sc, sh, sw, sb = xs.strides
     windows = np.lib.stride_tricks.as_strided(
-        xs,
-        shape=(c, kh, kw, ho, wo, b),
+        xs[:, y0 * stride :],
+        shape=(c, kh, kw, y1 - y0, wo, b),
         strides=(sc, sh, sw, stride * sh, stride * sw, sb),
         writeable=False,
     )
-    return windows.reshape(c * kh * kw, ho * wo * b)
-
-
-def _col2im_t(weights: np.ndarray, gmat: np.ndarray, sshape: tuple, stride: int) -> np.ndarray:
-    """Scatter-add W^T @ gmat ([Cout, Ho*Wo*B] output gradient) onto [C,H,W,B].
-
-    One kernel offset's block of rows at a time, in one reused buffer: the
-    [C*kh*kw, Ho*Wo*B] column gradient is never stored whole.
-    """
-    c, h, w, b = sshape
-    _, _, kh, kw = weights.shape
-    ho = (h - kh) // stride + 1
-    wo = (w - kw) // stride + 1
-    w_t = np.ascontiguousarray(weights.transpose(2, 3, 1, 0))  # [kh,kw,C,Cout]
-    dxs = np.zeros(sshape, dtype=np.float64)
-    block = np.empty((c, ho, wo, b), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            np.matmul(w_t[i, j], gmat, out=block.reshape(c, ho * wo * b))
-            dxs[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += block
-    return dxs
+    cols = buf[: windows.size].reshape(windows.shape)
+    cols[...] = windows
+    return cols.reshape(c * kh * kw, -1)
 
 
 def conv2d(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
@@ -203,18 +199,48 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
         raise ShapeError(f"input {h}x{w} smaller than kernel {kh}x{kw}")
     ho = (h - kh) // stride + 1
     wo = (w - kw) // stride + 1
-    cols_t = _im2col_t(np.ascontiguousarray(xd.transpose(1, 2, 3, 0)), kh, kw, stride)
-    out = weights.data.reshape(cout, cin * kh * kw) @ cols_t
+    xs = np.ascontiguousarray(xd.transpose(1, 2, 3, 0))
+    wmat = weights.data.reshape(cout, cin * kh * kw)
+    blocks = [(y0, min(y0 + CONV_BLOCK_ROWS, ho)) for y0 in range(0, ho, CONV_BLOCK_ROWS)]
+    buf_size = c * kh * kw * min(CONV_BLOCK_ROWS, ho) * wo * b
+    run = wo * b  # columns per output row
+    out = np.empty((cout, ho * run))
+    buf = np.empty(buf_size)
+    for y0, y1 in blocks:
+        cols = _block_cols(buf, xs, kh, kw, stride, y0, y1)
+        np.matmul(wmat, cols, out=out[:, y0 * run : y1 * run])
     out += bias.data[:, None]
     out = out.reshape(cout, ho, wo, b).transpose(3, 0, 1, 2)
 
     def backward_fn(grad: np.ndarray) -> None:
         g = grad[None] if squeeze else grad
-        gmat = np.ascontiguousarray(g.transpose(1, 2, 3, 0)).reshape(cout, ho * wo * b)
+        gmat = np.ascontiguousarray(g.transpose(1, 2, 3, 0)).reshape(cout, ho * run)
+        dw = np.zeros(wmat.shape)
+        dw_blk = np.empty(wmat.shape)
+        dxs = np.zeros((c, h, w, b))
+        buf = np.empty(buf_size)
+        dbuf = np.empty(buf_size)
+        for y0, y1 in blocks:
+            g_blk = gmat[:, y0 * run : y1 * run]
+            cols = _block_cols(buf, xs, kh, kw, stride, y0, y1)
+            np.matmul(g_blk, cols.T, out=dw_blk)
+            dw += dw_blk
+            if not x.requires_grad:
+                continue
+            # W^T @ G is the block's column gradient; each kernel offset's
+            # rows add onto the input pixels that offset read.
+            dcols = dbuf[: cols.size].reshape(cols.shape)
+            np.matmul(wmat.T, g_blk, out=dcols)
+            dcols = dcols.reshape(c, kh, kw, y1 - y0, wo, b)
+            rows = stride * (y1 - y0)
+            for i in range(kh):
+                r0 = stride * y0 + i
+                for j in range(kw):
+                    dxs[:, r0 : r0 + rows : stride, j : j + stride * wo : stride] += dcols[:, i, j]
         bias.accumulate_grad(gmat.sum(axis=1))
-        weights.accumulate_grad((gmat @ cols_t.T).reshape(weights.data.shape))
+        weights.accumulate_grad(dw.reshape(weights.data.shape))
         if x.requires_grad:
-            dx = _col2im_t(weights.data, gmat, (c, h, w, b), stride).transpose(3, 0, 1, 2)
+            dx = dxs.transpose(3, 0, 1, 2)
             x.accumulate_grad(dx[0] if squeeze else dx)
 
     return Tensor(out[0] if squeeze else out, (x, weights, bias), backward_fn)
@@ -316,7 +342,8 @@ def flatten(x: Tensor) -> Tensor:
 
     def backward_fn(grad: np.ndarray) -> None:
         g = grad[None] if squeeze else grad
-        dx = g.reshape(xd.shape)
+        dx = np.empty_like(xd)  # a copy of the view, in the input's layout
+        dx[...] = g.reshape(xd.shape)
         x.accumulate_grad(dx[0] if squeeze else dx)
 
     return Tensor(out[0] if squeeze else out, (x,), backward_fn)

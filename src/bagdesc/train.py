@@ -205,11 +205,14 @@ def run_round(
     return RoundReport(round_index, train_loss, float("nan"), lr)
 
 
-def validate(net: DescriptorNet, valset: list[BagTriplet], cfg: MatchConfig) -> float:
+def validate(
+    net: DescriptorNet, valset: list[BagTriplet], cfg: MatchConfig, threads: int = 1
+) -> float:
     """Mean triplet loss over a fixed validation list; no updates.
 
     Distinct bags are described once (the fixed list reuses bags heavily),
-    which changes nothing about the per-triplet losses.
+    one bag per task on `threads` workers, which changes nothing about the
+    per-triplet losses.
     """
     if not valset:
         raise ValueError("validation set must not be empty")
@@ -218,9 +221,9 @@ def validate(net: DescriptorNet, valset: list[BagTriplet], cfg: MatchConfig) -> 
         for bag in (t.anchor, t.positive, t.negative):
             keyed.setdefault((bag.object_id, bag.view_id), bag)
     keys = sorted(keyed)
-    descs = {}
-    for key in keys:
-        descs[key] = describe(net, keyed[key].pixel_stack())
+    pixels = [keyed[key].pixel_stack() for key in keys]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        descs = dict(zip(keys, pool.map(lambda stack: describe(net, stack), pixels)))
     losses = []
     for t in valset:
         pair_pos = GramPair(
@@ -279,7 +282,7 @@ def train(
     rounds_since_best = 0
     for round_index in range(cfg.rounds):
         report = run_round(net, trainset, cfg, round_index, sample_rng, state, lr, threads)
-        report.val_loss = validate(net, val_list, cfg.match)
+        report.val_loss = validate(net, val_list, cfg.match, threads)
         curves.append(report)
         if report.val_loss < best_loss:
             best_loss = report.val_loss

@@ -1,6 +1,7 @@
 """Descriptor network: shapes, parameter count, serialization, gradients."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,3 +249,21 @@ def test_reduced_net_end_to_end_gradients():
                 net.params[name] = original
 
         assert finite_diff_gradcheck(objective, original, h=1e-6) < 1e-4
+
+
+def test_full_width_forward_backward_memory_peak():
+    """One 96-patch forward and backward holds no convolution column matrix.
+
+    The traced peak is about 175 MB; a stored [C*kh*kw, Ho*Wo*B] matrix per
+    convolution (77 MB at conv2, 64 MB at conv3) would raise it to about 350.
+    """
+    net = init_net(0)
+    pixels = np.random.default_rng(18).uniform(0.0, 1.0, (96, 3, 32, 32))
+    tracemalloc.start()
+    try:
+        desc = forward(net, pixels)
+        desc.backward(np.ones_like(desc.data))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 250e6

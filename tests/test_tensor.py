@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bagdesc.tensor import (
+    CONV_BLOCK_ROWS,
     DegenerateInputError,
     ShapeError,
     Tensor,
@@ -141,22 +142,20 @@ def _batched(arr):
     return arr if arr.ndim == 4 else arr[None]
 
 
-@pytest.mark.parametrize("layout", LAYOUTS)
-@pytest.mark.parametrize("stride", (1, 2))
-def test_conv2d_layouts_match_loop_oracle(layout, stride):
-    rng = np.random.default_rng(40 + stride)
-    batch = 1 if layout == "unbatched" else 3
-    x_in = _in_layout(rng.normal(size=(batch, 4, 9, 8)), layout)
-    w = Tensor(rng.normal(size=(5, 4, 3, 2)))
-    b = Tensor(rng.normal(size=5))
+def _check_conv2d_against_loops(x_in, w, b, stride, rng, between=None):
+    """conv2d values and gradients against the loop oracles.
+
+    `between`, if given, runs after the forward and before the backward.
+    """
     x = Tensor(x_in)
     out = conv2d(x, w, b, stride=stride)
+    if between is not None:
+        between()
     grad = rng.normal(size=out.data.shape)
     out.backward(grad)
     xs, outs, grads, dxs = _batched(x_in), _batched(out.data), _batched(grad), _batched(x.grad)
-    assert out.data.shape == (x_in.shape[:-3] + (5, (9 - 3) // stride + 1, (8 - 2) // stride + 1))
     dw_ref = np.zeros(w.data.shape)
-    db_ref = np.zeros(5)
+    db_ref = np.zeros(b.data.shape)
     for i in range(xs.shape[0]):
         # float64 sums of at most 4*3*2 = 24 products: rounding only
         assert np.max(np.abs(outs[i] - conv2d_loop(xs[i], w.data, b.data, stride))) < 1e-12
@@ -169,6 +168,85 @@ def test_conv2d_layouts_match_loop_oracle(layout, stride):
     # (at most 3 * 7 * 7 terms) in a different order: a few ulps of the total
     assert np.max(np.abs(w.grad - dw_ref)) < 1e-12 * max(1.0, np.max(np.abs(dw_ref)))
     assert np.max(np.abs(b.grad - db_ref)) < 1e-12 * max(1.0, np.max(np.abs(db_ref)))
+    return out
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("stride", (1, 2))
+def test_conv2d_layouts_match_loop_oracle(layout, stride):
+    rng = np.random.default_rng(40 + stride)
+    batch = 1 if layout == "unbatched" else 3
+    x_in = _in_layout(rng.normal(size=(batch, 4, 9, 8)), layout)
+    w = Tensor(rng.normal(size=(5, 4, 3, 2)))
+    b = Tensor(rng.normal(size=5))
+    out = _check_conv2d_against_loops(x_in, w, b, stride, rng)
+    assert out.data.shape == (x_in.shape[:-3] + (5, (9 - 3) // stride + 1, (8 - 2) // stride + 1))
+
+
+@pytest.mark.parametrize("stride", (1, 2))
+@pytest.mark.parametrize(
+    "case", ("partial_last_block", "kernel_equals_input", "batch_of_one", "unbatched")
+)
+def test_conv2d_row_block_edges_match_loop_oracle(case, stride):
+    """Output heights that do not fill the last row block, Ho = 1, and B = 1."""
+    rng = np.random.default_rng(60 + stride)
+    ho = 2 * CONV_BLOCK_ROWS + 1  # one row past a whole number of blocks
+    kh, kw = (3, 2)
+    shape = (3, 4, stride * (ho - 1) + kh, 7)
+    if case == "kernel_equals_input":
+        shape, ho = shape[:2] + (kh, kw), 1
+    elif case == "batch_of_one":
+        shape = (1,) + shape[1:]
+    x_in = rng.normal(size=shape)
+    if case == "unbatched":
+        x_in = x_in[1]
+    w = Tensor(rng.normal(size=(5, 4, kh, kw)))
+    b = Tensor(rng.normal(size=5))
+    out = _check_conv2d_against_loops(x_in, w, b, stride, rng)
+    assert out.data.shape[-2] == ho
+
+
+def test_conv2d_backward_after_another_conv_on_the_same_thread():
+    """A pending backward rebuilds its columns from its own saved input."""
+    rng = np.random.default_rng(70)
+    x_in = _in_layout(rng.normal(size=(3, 4, 9, 8)), "strided_view")
+    w = Tensor(rng.normal(size=(5, 4, 3, 2)))
+    b = Tensor(rng.normal(size=5))
+
+    def other_conv():
+        other = Tensor(rng.normal(size=(3, 4, 9, 8)))
+        out = conv2d(other, Tensor(rng.normal(size=(5, 4, 3, 2))), Tensor(np.zeros(5)), 1)
+        out.backward(rng.normal(size=out.data.shape))
+
+    _check_conv2d_against_loops(x_in, w, b, 1, rng, between=other_conv)
+
+
+def test_backward_hands_over_gradients_without_sharing_memory():
+    """No .grad aliases the caller's seed or another tensor's .grad."""
+    rng = np.random.default_rng(80)
+    x = Tensor(rng.normal(size=(2, 3, 10, 10)))
+    params = [
+        Tensor(rng.normal(size=shape))
+        for shape in ((4, 3, 3, 3), (4,), (6, 4, 2, 2), (6,), (5, 24), (5,))
+    ]
+    h = relu(conv2d(x, params[0], params[1], stride=1))
+    h = maxpool2x2(conv2d(h, params[2], params[3], stride=2))
+    out = l2_normalize(affine(flatten(h), params[4], params[5]))
+    seed = rng.normal(size=out.data.shape)
+    out.backward(seed)
+
+    tensors, stack = [], [out]
+    while stack:
+        node = stack.pop()
+        if all(node is not t for t in tensors):
+            tensors.append(node)
+            stack.extend(node._parents)
+    grads = [t.grad for t in tensors]
+    assert len(grads) == 14 and all(g is not None for g in grads)
+    for i, g in enumerate(grads):
+        assert not np.may_share_memory(g, seed)
+        for other in grads[i + 1 :]:
+            assert not np.may_share_memory(g, other)
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)

@@ -285,3 +285,14 @@ def test_threaded_batch_matches_single_threaded():
     assert set(grads_single) == set(grads_threaded)
     for name in grads_single:
         assert np.array_equal(grads_single[name], grads_threaded[name])
+
+    val = [sample_triplet(ds, rng) for _ in range(6)]
+    assert validate(net, val, cfg, threads=2) == validate(net, val, cfg, threads=1)
+    valset = make_dataset(num_objects=2, seed=4, first_object_id=50)
+    runs = [train(ds, valset, _quick_cfg(), threads=t, val_triplets=4) for t in (1, 2)]
+    (net_1, curves_1), (net_2, curves_2) = runs
+    assert [(r.train_loss, r.val_loss, r.lr) for r in curves_1] == [
+        (r.train_loss, r.val_loss, r.lr) for r in curves_2
+    ]
+    for name in net_1.params:
+        assert np.array_equal(net_1.params[name].data, net_2.params[name].data)
