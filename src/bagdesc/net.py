@@ -106,14 +106,6 @@ class DescriptorNet:
     def param_count(self) -> int:
         return sum(t.data.size for t in self.params.values())
 
-    def zero_grad(self) -> None:
-        for t in self.params.values():
-            t.zero_grad()
-
-    def copy(self) -> "DescriptorNet":
-        params = {name: Tensor(t.data.copy()) for name, t in self.params.items()}
-        return DescriptorNet(params, self.channels, self.descriptor_dim)
-
 
 def init_net(seed: int, channels=FULL_CHANNELS,
              descriptor_dim=FULL_DESCRIPTOR_DIM) -> DescriptorNet:

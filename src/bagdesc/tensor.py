@@ -6,9 +6,11 @@ an affine map, and row-wise L2 normalization. Every operation records a
 closure that scatters the output gradient back into its inputs, so a scalar
 computed from Tensors can be differentiated with `Tensor.backward()`.
 
-Gradients accumulate: callers zero them between optimizer steps. Convolution
-is valid (no padding) cross-correlation; maxpool routes the gradient to the
-first (row-major) argmax of each window. All arithmetic is 64-bit.
+Leaf Tensors (parameters and inputs) add every backward pass into `grad`;
+interior nodes are freed as the walk passes them, so a graph is
+backpropagated once. Convolution is valid (no padding) cross-correlation;
+maxpool routes the gradient to the first (row-major) argmax of each window.
+All arithmetic is 64-bit.
 
 Image activations are stored batch-innermost: conv2d, maxpool2x2 and their
 input gradients return [B,C,H,W] views of contiguous [C,H,W,B] memory, which
@@ -62,7 +64,8 @@ class Tensor:
 
     Tensors form a DAG: operations attach the producing closure and parent
     references to their output, and `backward` replays the closures in
-    reverse topological order, adding into each parent's `grad`.
+    reverse topological order, adding into each parent's `grad`. Only a
+    leaf (a Tensor no operation produced) keeps its `grad` afterwards.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
@@ -91,9 +94,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def accumulate_grad(self, g: np.ndarray) -> None:
         """Add `g` into `grad`; the first `g` becomes `grad` itself.
 
@@ -111,7 +111,13 @@ class Tensor:
             self.grad += g
 
     def backward(self, seed=None) -> None:
-        """Propagate `seed` (default: ones) back through the graph."""
+        """Propagate `seed` (default: ones) back through the graph.
+
+        Leaves add their gradient into `grad`. Each interior node, this one
+        included, drops its `grad`, closure and parents once its closure
+        has run, so its activations and gradients are freed during the
+        walk and the graph cannot be backpropagated again.
+        """
         if seed is None:
             seed = np.ones_like(self.data)
         seed = np.array(seed, dtype=np.float64)  # a copy: it becomes self.grad
@@ -134,9 +140,13 @@ class Tensor:
             for parent in node._parents:
                 stack.append((parent, False))
         self.accumulate_grad(seed)
-        for node in reversed(order):
-            if node._backward_fn is not None and node.grad is not None:
+        while order:
+            node = order.pop()
+            if node._backward_fn is None:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
                 node._backward_fn(node.grad)
+            node.grad, node._backward_fn, node._parents = None, None, ()
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"

@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import BagDataset, BagTriplet, sample_triplet
 from .matching import GramPair, MatchConfig, soft_match_backward, soft_match_score
-from .net import DescriptorNet, describe, forward_bag, init_net
+from .net import FULL_CHANNELS, FULL_DESCRIPTOR_DIM, DescriptorNet, describe, forward_bag, init_net
 from .tensor import Tensor
 
 __all__ = [
@@ -90,15 +90,16 @@ def ratio_loss(score_pos: float, score_neg: float, epsilon: float) -> float:
     return score_neg / (score_pos + epsilon)
 
 
-def triplet_loss(
-    net: DescriptorNet, triplet: BagTriplet, cfg: MatchConfig, accumulate: bool = False
-) -> float:
-    """Ratio loss of one triplet; optionally backpropagate into the net.
+def triplet_loss(net: DescriptorNet, triplet: BagTriplet, cfg: MatchConfig) -> tuple[float, dict]:
+    """Ratio loss of one triplet and its gradient for every parameter.
 
-    The three bags run through the extractor as one stacked batch; the
-    anchor's two gradient contributions (it appears in both scores) are
-    summed before the single backward pass.
+    The graph is built over leaf Tensors of this call's own that share the
+    net's parameter arrays, so the net itself is only read and concurrent
+    calls do not interfere. The three bags run through the extractor as one
+    stacked batch; the anchor's two gradient contributions (it appears in
+    both scores) are summed before the single backward pass.
     """
+    params = {name: Tensor(p.data) for name, p in net.params.items()}
     n = triplet.anchor.n
     stacked = np.concatenate(
         [
@@ -107,20 +108,19 @@ def triplet_loss(
             triplet.negative.pixel_stack(),
         ]
     )
-    desc = forward_bag(net, stacked)
+    desc = forward_bag(DescriptorNet(params, net.channels, net.descriptor_dim), stacked)
     rows = desc.data
     pair_pos = GramPair(rows[:n], rows[n : 2 * n])
     pair_neg = GramPair(rows[:n], rows[2 * n :])
     score_pos = soft_match_score(pair_pos, cfg)
     score_neg = soft_match_score(pair_neg, cfg)
     loss = ratio_loss(score_pos, score_neg, cfg.epsilon)
-    if accumulate:
-        d_neg = 1.0 / (score_pos + cfg.epsilon)
-        d_pos = -score_neg / (score_pos + cfg.epsilon) ** 2
-        da_neg, dn = soft_match_backward(pair_neg, cfg, upstream=d_neg)
-        da_pos, dp = soft_match_backward(pair_pos, cfg, upstream=d_pos)
-        desc.backward(np.concatenate([da_neg + da_pos, dp, dn]))
-    return loss
+    d_neg = 1.0 / (score_pos + cfg.epsilon)
+    d_pos = -score_neg / (score_pos + cfg.epsilon) ** 2
+    da_neg, dn = soft_match_backward(pair_neg, cfg, upstream=d_neg)
+    da_pos, dp = soft_match_backward(pair_pos, cfg, upstream=d_pos)
+    desc.backward(np.concatenate([da_neg + da_pos, dp, dn]))
+    return loss, {name: p.grad for name, p in params.items()}
 
 
 def rmsprop_step(
@@ -155,30 +155,20 @@ def _batch_gradients(
 ) -> tuple[float, dict]:
     """Summed parameter gradients (and mean loss) over a batch of triplets.
 
-    Each triplet accumulates into a private copy of the parameter tensors
-    (sharing the underlying data arrays read-only). The copies are summed in
-    list order, so the result does not depend on the thread count.
+    `triplet_loss` runs on `threads` workers; each returns gradient arrays
+    of its own, which are summed in list order, so the result does not
+    depend on the thread count.
     """
-
-    def worker(triplet: BagTriplet) -> tuple[float, dict]:
-        shadow = DescriptorNet(
-            {name: Tensor(p.data) for name, p in net.params.items()},
-            net.channels,
-            net.descriptor_dim,
-        )
-        loss = triplet_loss(shadow, triplet, cfg, accumulate=True)
-        return loss, {name: p.grad for name, p in shadow.params.items() if p.grad is not None}
-
     total: dict = {}
     losses = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for loss, grads in pool.map(worker, triplets):
+        for loss, grads in pool.map(lambda t: triplet_loss(net, t, cfg), triplets):
             losses.append(loss)
             for name, g in grads.items():
                 if name in total:
                     total[name] += g
                 else:
-                    total[name] = g  # the shadow's private accumulator
+                    total[name] = g  # the first triplet's own array
     return float(np.mean(losses)), total
 
 
@@ -246,8 +236,8 @@ def train(
     cfg: TrainConfig,
     threads: int = 1,
     val_triplets: int = 128,
-    channels=None,
-    descriptor_dim=None,
+    channels=FULL_CHANNELS,
+    descriptor_dim=FULL_DESCRIPTOR_DIM,
 ) -> tuple[DescriptorNet, list[RoundReport]]:
     """Full learning run; returns the best-validation snapshot and loss curves.
 
@@ -260,12 +250,7 @@ def train(
     sample_rng = np.random.Generator(np.random.PCG64(sampling))
     val_rng = np.random.Generator(np.random.PCG64(validation))
 
-    kwargs = {}
-    if channels is not None:
-        kwargs["channels"] = channels
-    if descriptor_dim is not None:
-        kwargs["descriptor_dim"] = descriptor_dim
-    net = init_net(init_seed, **kwargs)
+    net = init_net(init_seed, channels, descriptor_dim)
 
     if isinstance(valset, BagDataset):
         if set(valset.object_ids) & set(trainset.object_ids):
@@ -296,7 +281,6 @@ def train(
     if best_params is not None:
         for name, p in net.params.items():
             p.data = best_params[name]
-    net.zero_grad()
     return net, curves
 
 

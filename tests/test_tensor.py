@@ -222,7 +222,8 @@ def test_conv2d_backward_after_another_conv_on_the_same_thread():
 
 
 def test_backward_hands_over_gradients_without_sharing_memory():
-    """No .grad aliases the caller's seed or another tensor's .grad."""
+    """No leaf .grad aliases the caller's seed or another leaf's .grad, and
+    the walk frees the interior nodes, the root included."""
     rng = np.random.default_rng(80)
     x = Tensor(rng.normal(size=(2, 3, 10, 10)))
     params = [
@@ -235,14 +236,10 @@ def test_backward_hands_over_gradients_without_sharing_memory():
     seed = rng.normal(size=out.data.shape)
     out.backward(seed)
 
-    tensors, stack = [], [out]
-    while stack:
-        node = stack.pop()
-        if all(node is not t for t in tensors):
-            tensors.append(node)
-            stack.extend(node._parents)
-    grads = [t.grad for t in tensors]
-    assert len(grads) == 14 and all(g is not None for g in grads)
+    for node in (out, h):
+        assert node.grad is None and node._backward_fn is None and node._parents == ()
+    grads = [t.grad for t in [x] + params]
+    assert all(g is not None for g in grads)
     for i, g in enumerate(grads):
         assert not np.may_share_memory(g, seed)
         for other in grads[i + 1 :]:

@@ -56,3 +56,35 @@ def test_traced_forward_and_backward_record_every_layer(tracer_module):
     assert metrics["tensor.conv.im2col_bytes"][0] > 0
     assert metrics["tensor.conv.col2im_bytes"][0] > 0
     assert metrics["net.forward_patches"][0] == 2
+
+
+def test_traced_batch_gradients_match_untraced(tracer_module):
+    """Per-triplet graphs on worker threads still time every conv backward."""
+    from bagdesc.data import BagTriplet, PatchBag
+    from bagdesc.matching import MatchConfig
+
+    net = tracer_module.MODULES["net"]
+    train = tracer_module.MODULES["train"]
+    model = net.init_net(1, net.REDUCED_CHANNELS, net.REDUCED_DESCRIPTOR_DIM)
+    rng = np.random.default_rng(1)
+
+    def bag(obj, view):
+        return PatchBag(obj, view, rng.uniform(0, 1, (3, 3, 32, 32)))
+
+    triplets = [BagTriplet(bag(k, 0), bag(k, 1), bag(k + 1, 0)) for k in range(3)]
+    cfg = MatchConfig(tau=0.9, beta=8.0)
+    want_loss, want = train._batch_gradients(model, triplets, cfg, 2)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        loss, grads = train._batch_gradients(model, triplets, cfg, 2)
+    finally:
+        tracer.uninstall()
+    assert loss == want_loss
+    assert set(grads) == set(want)
+    for name in want:
+        assert np.array_equal(grads[name], want[name])
+    names = {span[1] for span in tracer.spans}
+    assert "train.triplet" in names
+    for layer in range(1, tracer_module.CONV_LAYERS + 1):
+        assert f"tensor.conv{layer}.bwd" in names

@@ -14,6 +14,7 @@ from bagdesc.net import (
 from bagdesc.tensor import Tensor
 from bagdesc.train import (
     TrainConfig,
+    _batch_gradients,
     ratio_loss,
     rmsprop_step,
     run_round,
@@ -22,6 +23,8 @@ from bagdesc.train import (
     validate,
     write_loss_curves,
 )
+
+from forward_loss import forward_triplet_loss
 
 RNG = np.random.default_rng(55)
 
@@ -77,7 +80,7 @@ def test_triplet_loss_equal_positive_and_negative_content():
     positive = PatchBag(0, 1, twin_pixels.copy())
     negative = PatchBag(1, 0, twin_pixels.copy())
     net = init_net(0)
-    loss = triplet_loss(net, BagTriplet(anchor, positive, negative), MatchConfig())
+    loss, _ = triplet_loss(net, BagTriplet(anchor, positive, negative), MatchConfig())
     assert loss == pytest.approx(1.0, abs=1e-5)
 
 
@@ -86,7 +89,7 @@ def test_triplet_loss_matches_per_bag_forward():
     t = make_triplet(rng)
     net = init_net(2)
     cfg = MatchConfig(tau=0.5, beta=10.0)
-    got = triplet_loss(net, t, cfg)
+    got, _ = triplet_loss(net, t, cfg)
     pair_pos = GramPair(forward_bag(net, t.anchor).data, forward_bag(net, t.positive).data)
     pair_neg = GramPair(forward_bag(net, t.anchor).data, forward_bag(net, t.negative).data)
     want = ratio_loss(soft_match_score(pair_pos, cfg), soft_match_score(pair_neg, cfg), cfg.epsilon)
@@ -98,14 +101,14 @@ def test_triplet_loss_invariant_to_patch_permutation():
     t = make_triplet(rng, n=5)
     net = init_net(3)
     cfg = MatchConfig(tau=0.4, beta=25.0)
-    base = triplet_loss(net, t, cfg)
+    base, _ = triplet_loss(net, t, cfg)
     perm = np.random.default_rng(1).permutation(5)
     shuffled = BagTriplet(
         PatchBag(0, 0, t.anchor.pixels[perm]),
         PatchBag(0, 1, t.positive.pixels[perm[::-1]]),
         PatchBag(1, 0, t.negative.pixels[::-1]),
     )
-    assert triplet_loss(net, shuffled, cfg) == pytest.approx(base, abs=1e-9)
+    assert triplet_loss(net, shuffled, cfg)[0] == pytest.approx(base, abs=1e-9)
 
 
 def test_triplet_loss_gradients_match_finite_differences():
@@ -114,20 +117,18 @@ def test_triplet_loss_gradients_match_finite_differences():
     net = init_net(4, channels=REDUCED_CHANNELS, descriptor_dim=REDUCED_DESCRIPTOR_DIM)
     cfg = MatchConfig(tau=0.9, beta=8.0)
 
-    net.zero_grad()
-    triplet_loss(net, t, cfg, accumulate=True)
+    _, grads = triplet_loss(net, t, cfg)
     h = 1e-6
     for name in ("conv1_w", "conv4_w", "fc_w", "conv2_b"):
-        param = net.params[name]
-        analytic = param.grad.reshape(-1)
-        flat = param.data.reshape(-1)
+        analytic = grads[name].reshape(-1)
+        flat = net.params[name].data.reshape(-1)
         rng_idx = np.random.default_rng(hash(name) % 2**32)
         for idx in rng_idx.choice(flat.size, size=min(6, flat.size), replace=False):
             saved = flat[idx]
             flat[idx] = saved + h
-            up = triplet_loss(net, t, cfg)
+            up = forward_triplet_loss(net, t, cfg)
             flat[idx] = saved - h
-            down = triplet_loss(net, t, cfg)
+            down = forward_triplet_loss(net, t, cfg)
             flat[idx] = saved
             numeric = (up - down) / (2 * h)
             denom = max(1.0, abs(analytic[idx]), abs(numeric))
@@ -206,7 +207,7 @@ def test_validate_matches_triplet_loss_mean():
     net = init_net(1)
     cfg = MatchConfig(tau=0.5, beta=10.0)
     batched = validate(net, triplets, cfg)
-    naive = float(np.mean([triplet_loss(net, t, cfg) for t in triplets]))
+    naive = float(np.mean([triplet_loss(net, t, cfg)[0] for t in triplets]))
     assert batched == pytest.approx(naive, abs=1e-9)
 
 
@@ -270,8 +271,6 @@ def test_write_loss_curves(tmp_path):
 
 
 def test_threaded_batch_matches_single_threaded():
-    from bagdesc.train import _batch_gradients
-
     ds = make_dataset(seed=9)
     rng = np.random.default_rng(4)
     from bagdesc.data import sample_triplet
@@ -296,3 +295,28 @@ def test_threaded_batch_matches_single_threaded():
     ]
     for name in net_1.params:
         assert np.array_equal(net_1.params[name].data, net_2.params[name].data)
+
+
+def test_batch_gradients_leave_the_net_untouched():
+    """Workers never write the caller's net; their grads sum in list order."""
+    from bagdesc.data import sample_triplet
+
+    ds = make_dataset(seed=11)
+    rng = np.random.default_rng(12)
+    triplets = [sample_triplet(ds, rng) for _ in range(3)]
+    cfg = MatchConfig(tau=0.5, beta=10.0)
+    net = init_net(7, channels=REDUCED_CHANNELS, descriptor_dim=REDUCED_DESCRIPTOR_DIM)
+    before = {name: p.data.copy() for name, p in net.params.items()}
+    loss, grads = _batch_gradients(net, triplets, cfg, threads=2)
+    for name, p in net.params.items():
+        assert p.grad is None
+        assert np.array_equal(p.data, before[name])
+
+    results = [triplet_loss(net, t, cfg) for t in triplets]
+    assert loss == float(np.mean([r[0] for r in results]))
+    assert set(grads) == set(net.params)
+    for name in net.params:
+        want = results[0][1][name].copy()
+        for _, per_triplet in results[1:]:
+            want += per_triplet[name]
+        assert np.array_equal(grads[name], want)
