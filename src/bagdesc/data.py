@@ -2,7 +2,8 @@
 
 A scene is a seeded procedural rendering (gradient background, textured
 polygons and ellipses, additive noise) observed from several views related
-by known perspective warps plus photometric jitter. Bags are built per view:
+by known perspective warps plus photometric jitter; each shape is painted
+only inside its own bounding box. Bags are built per view:
 the image is downsampled by four with area averaging, corners come from a
 FAST-style segment test, and fixed-size patches around the strongest corners
 are resampled to 32x32. Labels exist only at bag level: two views of one
@@ -186,20 +187,24 @@ def _homography_from_corners(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
 def _bilinear_sample(img: np.ndarray, xq: np.ndarray, yq: np.ndarray) -> np.ndarray:
     """Sample [C,H,W] at float (x,y) locations with edge clamping."""
-    h, w = img.shape[1:]
+    c, h, w = img.shape
     x = np.clip(xq, 0.0, w - 1.0)
     y = np.clip(yq, 0.0, h - 1.0)
     x0 = np.floor(x).astype(np.int64)
     y0 = np.floor(y).astype(np.int64)
     x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
+    top = y0 * w
+    bottom = np.minimum(y0 + 1, h - 1) * w
     fx = x - x0
     fy = y - y0
+    gx = 1 - fx
+    gy = 1 - fy
+    flat = img.reshape(c, -1)
     return (
-        img[:, y0, x0] * (1 - fy) * (1 - fx)
-        + img[:, y0, x1] * (1 - fy) * fx
-        + img[:, y1, x0] * fy * (1 - fx)
-        + img[:, y1, x1] * fy * fx
+        flat.take(top + x0, axis=1) * gy * gx
+        + flat.take(top + x1, axis=1) * gy * fx
+        + flat.take(bottom + x0, axis=1) * fy * gx
+        + flat.take(bottom + x1, axis=1) * fy * fx
     )
 
 
@@ -267,7 +272,22 @@ def _palette_color(rng: np.random.Generator) -> np.ndarray:
     return np.clip(base + rng.uniform(-0.02, 0.02, size=3), 0.05, 0.95)
 
 
+def _window(lo: float, hi: float, size: int) -> slice:
+    """Pixel indices spanning [lo, hi] plus 1 px of margin, clipped to the image.
+
+    Empty when the span lies wholly off the image, as a polygon's can.
+    """
+    start = max(int(np.floor(lo)) - 1, 0)
+    return slice(start, max(min(int(np.ceil(hi)) + 2, size), start))
+
+
 def _render_reference(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Gradient and texture background, then shapes painted over it in order.
+
+    Each shape computes its mask and texture only inside its bounding box:
+    the mask is false outside it, and every operation is elementwise, so
+    this paints the same pixels as working over the whole grid.
+    """
     ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
     c0 = _palette_color(rng)
     c1 = _palette_color(rng)
@@ -287,20 +307,27 @@ def _render_reference(rng: np.random.Generator, size: int) -> np.ndarray:
             angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=num_verts))
             radii = rng.uniform(0.06, 0.2, size=num_verts) * size
             verts = np.stack([cx + radii * np.cos(angles), cy + radii * np.sin(angles)], axis=1)
-            mask = _polygon_mask(xs, ys, verts)
+            rows = _window(verts[:, 1].min(), verts[:, 1].max(), size)
+            cols = _window(verts[:, 0].min(), verts[:, 0].max(), size)
+            wy, wx = np.mgrid[rows, cols].astype(np.float64)
+            mask = _polygon_mask(wx, wy, verts)
         else:
             ax = rng.uniform(0.05, 0.16) * size
             bx = rng.uniform(0.05, 0.16) * size
             theta = rng.uniform(0.0, np.pi)
-            dx, dy = xs - cx, ys - cy
+            reach = max(ax, bx)
+            rows = _window(cy - reach, cy + reach, size)
+            cols = _window(cx - reach, cx + reach, size)
+            wy, wx = np.mgrid[rows, cols].astype(np.float64)
+            dx, dy = wx - cx, wy - cy
             u = (dx * np.cos(theta) + dy * np.sin(theta)) / ax
             v = (-dx * np.sin(theta) + dy * np.cos(theta)) / bx
             mask = u * u + v * v <= 1.0
         base = _palette_color(rng)
         amp = rng.uniform(0.2, 0.35)
-        pattern = _texture(rng, xs, ys, size)
+        pattern = _texture(rng, wx, wy, size)
         fill = np.clip(base[:, None, None] + amp * pattern[None], 0.0, 1.0)
-        img = np.where(mask[None], fill, img)
+        img[:, rows, cols] = np.where(mask[None], fill, img[:, rows, cols])
 
     img = img + rng.normal(0.0, 0.02, size=img.shape)
     return np.clip(img, 0.0, 1.0)
@@ -428,8 +455,10 @@ def fast_detect(image, intensity_threshold: float, max_keypoints: int) -> list[t
 
 
 def _resize_patch(crop: np.ndarray, side: int = PATCH_SIDE) -> np.ndarray:
-    """Bilinear resample [3,S,S] to [3,side,side] (identity when S == side)."""
+    """Bilinear resample [3,S,S] to [3,side,side] (the crop itself when S == side)."""
     src = crop.shape[1]
+    if src == side:
+        return crop
     coords = (np.arange(side, dtype=np.float64) + 0.5) * (src / side) - 0.5
     xq, yq = np.meshgrid(coords, coords, indexing="xy")
     return _bilinear_sample(crop, xq, yq)

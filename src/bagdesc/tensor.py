@@ -257,13 +257,13 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    """Elementwise max(0, x); gradient is zero where x <= 0."""
+    """Elementwise max(0, x), NaN kept; gradient is zero where x <= 0 or NaN."""
     mask = x.data > 0
 
     def backward_fn(grad: np.ndarray) -> None:
         x.accumulate_grad(grad * mask)
 
-    return Tensor(np.where(mask, x.data, 0.0), (x,), backward_fn)
+    return Tensor(np.maximum(x.data, 0.0), (x,), backward_fn)
 
 
 def maxpool2x2(x: Tensor) -> Tensor:

@@ -161,3 +161,27 @@ def fast_reference(gray, threshold, max_keypoints):
                 detections.append((x, y, float(s)))
     detections.sort(key=lambda d: (-d[2], d[1], d[0]))
     return detections[:max_keypoints]
+
+
+def bilinear_sample_loop(img, xq, yq):
+    """Per-query, per-channel bilinear sample of [C,H,W] with edge clamping.
+
+    Weights multiply in the order (value * (1 - fy)) * (1 - fx) and the four
+    corners add left to right, so a correct fast path matches bit for bit.
+    """
+    c, h, w = img.shape
+    out = np.zeros((c, *np.shape(xq)))
+    for index in np.ndindex(*np.shape(xq)):
+        x = min(max(float(xq[index]), 0.0), w - 1.0)
+        y = min(max(float(yq[index]), 0.0), h - 1.0)
+        x0, y0 = int(np.floor(x)), int(np.floor(y))
+        x1, y1 = min(x0 + 1, w - 1), min(y0 + 1, h - 1)
+        fx, fy = x - x0, y - y0
+        for ch in range(c):
+            out[(ch, *index)] = (
+                float(img[ch, y0, x0]) * (1 - fy) * (1 - fx)
+                + float(img[ch, y0, x1]) * (1 - fy) * fx
+                + float(img[ch, y1, x0]) * fy * (1 - fx)
+                + float(img[ch, y1, x1]) * fy * fx
+            )
+    return out

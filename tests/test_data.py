@@ -1,9 +1,12 @@
 """Synthetic scenes, FAST corners, patch bags, dataset files."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from bagdesc.data import (
+    _bilinear_sample,
     BagDataset,
     BagTriplet,
     DataError,
@@ -21,7 +24,7 @@ from bagdesc.data import (
 )
 from bagdesc.tensor import ShapeError
 
-from oracles import fast_reference
+from oracles import bilinear_sample_loop, fast_reference
 
 RNG = np.random.default_rng(9)
 
@@ -115,6 +118,61 @@ def test_warp_consistency_within_half_pixel():
     assert checked >= 2
 
 
+# SHA-256 over every view's little-endian float64 pixels, then homography,
+# for generate_scene(seed, 3, size=size, identity_warp=identity_warp). A
+# rendering speed-up must keep every bit; update these only for a change
+# that means to alter the data, and say so.
+SCENE_DIGESTS = {
+    (0, 256, False): "aeb94f7dda7ac4707b37969e2281ef3c0f42463c88b1625a4529b0d5ee200d44",
+    (0, 256, True): "da865cc15a9f7677d6b4f97cb5a806ecc1caec6bd6309dde26cf02bec8b2ebf7",
+    (0, 301, False): "7c028c7f863c76f5ea7666232dbdcfe5b1aef628824086d97c79c846c8c182af",
+    (0, 301, True): "96dc0de7a7f99d50b93689ac2e5cffe86d242c70b9f476197ed3851f44f29db9",
+    (0, 512, False): "f805ca73a2e8643df0cea61e5637d034e1c5a3935216cb1ea80d2c75bfd36e0b",
+    (0, 512, True): "271512f02117ecf566afa9ecd0764497ccd41798eff375d89feb5f5c4ef4612b",
+    (1, 256, False): "54807dd623dab92eb67025e9174ecc093cabf94a755c3c414cbdff926452e1ed",
+    (1, 256, True): "d3cc00f9c40f676bfcfde39a4c4fc38167c174a329b8a93064235157f47e22d3",
+    (1, 301, False): "9adea62a2b07d955b84746f425d2b395200bc23c42ad0d5853e241f7f428fd75",
+    (1, 301, True): "e35802c6087e0ea7633ccebcb99ab685d5504cf4182e973bddbca0aaadfe7000",
+    (1, 512, False): "d974097201a54968a7cd87ac347bc0187d701357bfb9b57468028a1a3f1e86e6",
+    (1, 512, True): "46a90f5386abb777a11cb93c277c2e506ed902c5018d4db45546b408d51b72ed",
+    (7, 256, False): "c55145bd8e6c31379faae64c0b8f852c4e394b1585b29a41452ccd6563385f28",
+    (7, 256, True): "abd037cc7a17c80e9e0d04d530eaa7e70204d9fc037ea438dc336e0a795a95b6",
+    (7, 301, False): "fd8d10f9dc1dc7d204d9d64e3f8e19f701e914d6f0988ff159bc8ad1960f63e5",
+    (7, 301, True): "f43eedd6909aa5c2c7af37510b0ff5f8e17b56c7d6100685e2f67a217eb52bac",
+    (7, 512, False): "475a4e49dbeb9c765a37f995c5d238cc228adf82689ac69a80b48e3bc5b02651",
+    (7, 512, True): "3df1984cffa1125862db0574edccb8d79e109e11660b72b305d2b00c1c00866d",
+    # a polygon whose bounding box starts at or past the image's far edge
+    (144, 256, False): "4e39b007e4bf5a5380745066f6e9f3593e431da9898198e4d58208a5ff208839",
+    (3921792435, 256, False): "af7e77948eb2b8b46bf053ec60d4650de4f5b1a10fe6d0151ef8b00aeb9ed895",
+}
+
+
+@pytest.mark.parametrize("seed,size,identity_warp", sorted(SCENE_DIGESTS))
+def test_generate_scene_bytes_are_pinned(seed, size, identity_warp):
+    digest = hashlib.sha256()
+    for view in generate_scene(seed, 3, size=size, identity_warp=identity_warp):
+        digest.update(np.ascontiguousarray(view.pixels, "<f8").tobytes())
+        digest.update(np.ascontiguousarray(view.homography, "<f8").tobytes())
+    assert digest.hexdigest() == SCENE_DIGESTS[seed, size, identity_warp]
+
+
+@pytest.mark.parametrize("shape", [(3, 7, 9), (1, 1, 5), (2, 6, 1), (3, 4, 4)])
+def test_bilinear_sample_matches_loop_oracle_exactly(shape):
+    c, h, w = shape
+    rng = np.random.default_rng(h * 10 + w)
+    img = rng.uniform(0, 1, shape)
+    xq = rng.uniform(-2.5, w + 1.5, (5, 11))
+    yq = rng.uniform(-2.5, h + 1.5, (5, 11))
+    # exact grid points, the last row and column, and the far corners
+    xq[0, :4] = [0.0, w - 1.0, w - 1.0, w + 3.0]
+    yq[0, :4] = [0.0, h - 1.0, 0.0, -4.0]
+    xq[1, :3] = [w - 1.0, w - 1.5, -0.0]
+    yq[1, :3] = [h - 1.5, h - 1.0, h + 7.0]
+    got = _bilinear_sample(img, xq, yq)
+    assert got.shape == (c, 5, 11)
+    assert np.array_equal(got, bilinear_sample_loop(img, xq, yq))
+
+
 def test_downsample4_area_average():
     img = RNG.uniform(0, 1, (3, 8, 12))
     small = downsample4(img)
@@ -204,6 +262,8 @@ def test_extract_bag_identity_resample_center_pixel(scene):
     bag = extract_bag(scene, detections, 8, patch_radius=16)
     for patch, (x, y) in zip(bag.pixels, bag.keypoints):
         assert np.max(np.abs(patch[:, 16, 16] - small[:, y, x])) < 1e-9
+        # a 32 px crop needs no resampling: the patch is the crop itself
+        assert np.array_equal(patch, small[:, y - 16 : y + 16, x - 16 : x + 16])
 
 
 def test_extract_bag_rejects_when_too_few(scene):

@@ -90,6 +90,16 @@ def test_relu_values_and_backward():
     assert np.array_equal(relu(Tensor(arr)).data, np.maximum(arr, 0.0))
 
 
+def test_relu_propagates_nan_and_clears_negative_zero():
+    x = Tensor(np.array([np.nan, -0.0, -3.0, 0.5]))
+    out = relu(x)
+    assert np.isnan(out.data[0])
+    assert np.array_equal(out.data[1:], [0.0, 0.0, 0.5])
+    assert not np.signbit(out.data[1])
+    out.backward(np.ones(4))
+    assert np.array_equal(x.grad, [0.0, 0.0, 0.0, 1.0])
+
+
 def test_maxpool_values():
     out = maxpool2x2(Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]])))
     assert out.data.shape == (1, 1, 1)

@@ -88,3 +88,23 @@ def test_traced_batch_gradients_match_untraced(tracer_module):
     assert "train.triplet" in names
     for layer in range(1, tracer_module.CONV_LAYERS + 1):
         assert f"tensor.conv{layer}.bwd" in names
+
+
+def test_traced_build_dataset_records_the_data_layer(tracer_module):
+    """gen-data's per-layer metrics rest on these three wrapped names."""
+    data = tracer_module.MODULES["data"]
+    want = data.build_dataset(2, 2, 4, 3, image_size=256, patch_radius=8)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        got = data.build_dataset(2, 2, 4, 3, image_size=256, patch_radius=8)
+    finally:
+        tracer.uninstall()
+    for a, b in zip(got.bags, want.bags):
+        assert np.array_equal(a.pixels, b.pixels)
+    names = [span[1] for span in tracer.spans]
+    assert {"data.scene", "data.fast", "data.extract"} <= set(names)
+    assert names.count("data.fast") == names.count("data.extract") >= 4
+    assert tracer.counts["data.scene_attempts"] == names.count("data.scene") >= 2
+    metrics = tracer_module.layer_metrics(tracer, passes=1)
+    assert metrics["data.scene_s"][0] > 0
