@@ -12,7 +12,6 @@ from .data import (
     DataError,
     PatchBag,
     SceneImage,
-    build_bag,
     build_dataset,
     extract_bag,
     fast_detect,

@@ -33,7 +33,7 @@ from .retrieval import (
 )
 # Unused here, but perfbench/tracer.py wraps these names in this module.
 from .retrieval import match_retrieve, nn_ft_st, vlad_retrieve  # noqa: F401
-from .train import TrainConfig, split_seed, train, write_loss_curves
+from .train import TrainConfig, split_seed, train
 
 __all__ = ["main", "ConfigError", "DEFAULT_CONFIG"]
 
@@ -109,6 +109,8 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError("bag_size must lie in [1, max_keypoints]")
     if d["image_size"] < 256:
         raise ConfigError("image_size must be at least 256")
+    if d["patch_radius"] < 1:
+        raise ConfigError("patch_radius must be at least 1")
     if not (0 < d["train_fraction"] < 1 and 0 < d["val_fraction"] < 1):
         raise ConfigError("split fractions must lie in (0, 1)")
     counts = _split_counts(d)
@@ -213,7 +215,11 @@ def cmd_train(cfg: dict, out_dir: Path, data_dir: Path, threads: int) -> None:
     if any(not np.isfinite(r.train_loss) or not np.isfinite(r.val_loss) for r in curves):
         raise FloatingPointError("non-finite loss encountered during training")
     save_net(net, out_dir / "model.net")
-    write_loss_curves(out_dir / "curves.csv", curves)
+    write_score_rows(
+        out_dir / "curves.csv",
+        ["round", "train_loss", "val_loss", "lr"],
+        [(r.round_index, r.train_loss, r.val_loss, r.lr) for r in curves],
+    )
     best = min(r.val_loss for r in curves)
     _write_manifest(
         out_dir,

@@ -35,7 +35,6 @@ __all__ = [
     "rgb_to_gray",
     "fast_detect",
     "extract_bag",
-    "build_bag",
     "build_dataset",
     "sample_triplet",
     "save_dataset",
@@ -45,6 +44,10 @@ __all__ = [
 DATASET_MAGIC = b"WLRNBAG1"
 MIN_SCENE_SIDE = 256
 PATCH_SIDE = 32
+# A view's random corner displacement, as a fraction of the image side.
+MAX_CORNER_JITTER = 0.15
+# Scenes generated per object before build_dataset gives up.
+MAX_SCENE_ATTEMPTS = 64
 
 # 16-pixel Bresenham circle of radius 3, clockwise from twelve o'clock.
 _CIRCLE = (
@@ -340,20 +343,17 @@ def generate_scene(
     size: int = 512,
     object_id: int = 0,
     identity_warp: bool = False,
-    corner_jitter: float = 0.15,
 ) -> list[SceneImage]:
     """Render one object under `num_views` views with known homographies.
 
     View 0 is the reference (identity homography). Later views apply a random
-    perspective warp (corner jitter bounded by `corner_jitter` * size, at
-    most 15%), brightness/contrast jitter within +/-20%, and pixel noise with
+    perspective warp (each corner moves by at most MAX_CORNER_JITTER * size
+    per axis), brightness/contrast jitter within +/-20%, and pixel noise with
     sigma <= 0.02. `identity_warp` forces the warp to the identity so views
     differ only photometrically. Deterministic in (seed, arguments).
     """
     if num_views < 2:
         raise DataError(f"need at least 2 views, got {num_views}")
-    if not 0.0 <= corner_jitter <= 0.15:
-        raise DataError(f"corner jitter must lie in [0, 0.15], got {corner_jitter}")
     rng = np.random.Generator(np.random.PCG64(seed))
     reference = _render_reference(rng, size)
     views = [SceneImage(reference, object_id, 0, np.eye(3))]
@@ -365,7 +365,7 @@ def generate_scene(
             hmat = np.eye(3)
             warped = reference.copy()
         else:
-            jitter = rng.uniform(-corner_jitter, corner_jitter, size=(4, 2)) * size
+            jitter = rng.uniform(-MAX_CORNER_JITTER, MAX_CORNER_JITTER, size=(4, 2)) * size
             hmat = _homography_from_corners(corners, corners + jitter)
             warped = _warp_image(reference, hmat)
         contrast = rng.uniform(0.8, 1.2)
@@ -417,8 +417,8 @@ def _shifted(grid: np.ndarray, dy: int, dx: int) -> np.ndarray:
     return out
 
 
-def fast_detect(image, intensity_threshold: float, max_keypoints: int) -> list[tuple[int, int, float]]:
-    """Segment-test corners: (x, y, score), strongest first.
+def fast_detect(pixels, intensity_threshold: float, max_keypoints: int) -> list[tuple[int, int, float]]:
+    """Segment-test corners of a [C,H,W] or [H,W] image: (x, y, score), strongest first.
 
     A pixel is a corner when at least 9 contiguous pixels on its radius-3
     circle are all brighter than center + t or all darker than center - t.
@@ -426,8 +426,7 @@ def fast_detect(image, intensity_threshold: float, max_keypoints: int) -> list[t
     keeps the first (row-major) pixel on ties, and the top `max_keypoints`
     survivors are returned ordered by (-score, y, x).
     """
-    pixels = image.pixels if isinstance(image, SceneImage) else np.asarray(image, dtype=np.float64)
-    gray = rgb_to_gray(pixels)
+    gray = rgb_to_gray(np.asarray(pixels, dtype=np.float64))
     h, w = gray.shape
     if h < 7 or w < 7:
         raise DataError(f"image must be at least 7x7 for the segment test, got {h}x{w}")
@@ -454,12 +453,12 @@ def fast_detect(image, intensity_threshold: float, max_keypoints: int) -> list[t
     return [(int(xs[i]), int(ys[i]), float(scores[i])) for i in order]
 
 
-def _resize_patch(crop: np.ndarray, side: int = PATCH_SIDE) -> np.ndarray:
-    """Bilinear resample [3,S,S] to [3,side,side] (the crop itself when S == side)."""
+def _resize_patch(crop: np.ndarray) -> np.ndarray:
+    """Bilinear resample [3,S,S] to [3,32,32] (the crop itself when S == 32)."""
     src = crop.shape[1]
-    if src == side:
+    if src == PATCH_SIDE:
         return crop
-    coords = (np.arange(side, dtype=np.float64) + 0.5) * (src / side) - 0.5
+    coords = (np.arange(PATCH_SIDE, dtype=np.float64) + 0.5) * (src / PATCH_SIDE) - 0.5
     xq, yq = np.meshgrid(coords, coords, indexing="xy")
     return _bilinear_sample(crop, xq, yq)
 
@@ -478,6 +477,8 @@ def extract_bag(
     and each crop is bilinearly resampled to 32x32. Fewer than n usable
     detections is an error; bags are never padded.
     """
+    if patch_radius < 1:
+        raise DataError(f"patch radius must be at least 1, got {patch_radius}")
     small = downsample4(scene.pixels)
     h, w = small.shape[1:]
     ordered = sorted(detections, key=lambda d: (-d[2], d[1], d[0]))
@@ -502,19 +503,6 @@ def extract_bag(
     return PatchBag(scene.object_id, scene.view_id, np.clip(np.stack(crops), 0.0, 1.0), keypoints)
 
 
-def build_bag(
-    scene: SceneImage,
-    n: int,
-    *,
-    intensity_threshold: float = 0.05,
-    max_keypoints: int = 75,
-    patch_radius: int = 16,
-) -> PatchBag:
-    """Detect corners on the downsampled view and extract its bag."""
-    detections = fast_detect(downsample4(scene.pixels), intensity_threshold, max_keypoints)
-    return extract_bag(scene, detections, n, patch_radius)
-
-
 # ---------------------------------------------------------------------------
 # Datasets
 
@@ -531,20 +519,20 @@ def build_dataset(
     patch_radius: int = 16,
     first_object_id: int = 0,
     split: str = "",
-    max_attempts: int = 64,
 ) -> BagDataset:
     """Generate `num_objects` scenes and bag every view.
 
-    Scenes that fail to yield `bag_size` usable corners in every view are
-    regenerated from a derived seed (never padded); more than `max_attempts`
-    failures for one object is an error.
+    Corners are detected on each view downsampled by four. Scenes that fail
+    to yield `bag_size` usable corners in every view are regenerated from a
+    derived seed (never padded); more than MAX_SCENE_ATTEMPTS failures for
+    one object is an error.
     """
     if num_objects < 1 or views_per_object < 2:
         raise DataError("need at least 1 object and 2 views per object")
     bags: list[PatchBag] = []
     for index in range(num_objects):
         object_id = first_object_id + index
-        for attempt in range(max_attempts):
+        for attempt in range(MAX_SCENE_ATTEMPTS):
             scene_seed = int(
                 np.random.SeedSequence([seed, object_id, attempt]).generate_state(1)[0]
             )
@@ -553,12 +541,11 @@ def build_dataset(
             )
             try:
                 candidate = [
-                    build_bag(
+                    extract_bag(
                         scene,
+                        fast_detect(downsample4(scene.pixels), intensity_threshold, max_keypoints),
                         bag_size,
-                        intensity_threshold=intensity_threshold,
-                        max_keypoints=max_keypoints,
-                        patch_radius=patch_radius,
+                        patch_radius,
                     )
                     for scene in scenes
                 ]
@@ -569,7 +556,7 @@ def build_dataset(
         else:
             raise DataError(
                 f"object {object_id}: no scene with {bag_size} usable corners per view "
-                f"after {max_attempts} attempts"
+                f"after {MAX_SCENE_ATTEMPTS} attempts"
             )
     return BagDataset(bags, bag_size, split)
 
@@ -626,12 +613,12 @@ def load_dataset(path, split: str = "") -> BagDataset:
         raise DataError("missing header line")
     try:
         header = json.loads(raw[len(DATASET_MAGIC) : newline].decode("ascii"))
-        num_objects = int(header["num_objects"])
-        views_per_object = int(header["views_per_object"])
-        n = int(header["n"])
-        patch_side = int(header["patch_side"])
+        counts = [header[key] for key in ("num_objects", "views_per_object", "n", "patch_side")]
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"malformed header: {exc}") from exc
+    if any(type(c) is not int for c in counts):
+        raise DataError(f"header counts must be integers, got {header}")
+    num_objects, views_per_object, n, patch_side = counts
     if patch_side != PATCH_SIDE:
         raise DataError(f"unsupported patch side {patch_side}")
     if min(num_objects, views_per_object, n) < 1:

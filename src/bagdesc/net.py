@@ -37,6 +37,7 @@ __all__ = [
     "init_net",
     "forward",
     "forward_bag",
+    "describe",
     "save_net",
     "load_net",
 ]
@@ -49,6 +50,8 @@ FULL_DESCRIPTOR_DIM = 64
 FULL_PARAM_COUNT = 185_504
 REDUCED_CHANNELS = (4, 8, 16, 4)
 REDUCED_DESCRIPTOR_DIM = 8
+# Patches per forward pass in `describe`.
+DESCRIBE_CHUNK = 256
 
 MODEL_MAGIC = b"WLRNNET1"
 
@@ -150,18 +153,18 @@ def forward_bag(net: DescriptorNet, bag) -> Tensor:
     return forward(net, stack)
 
 
-def describe(net: DescriptorNet, pixels: np.ndarray, chunk: int = 256) -> np.ndarray:
+def describe(net: DescriptorNet, pixels: np.ndarray) -> np.ndarray:
     """Inference-only descriptors for [B,3,32,32] pixels (no gradient graph).
 
-    Streams in chunks so large evaluation batches keep a small footprint.
-    Produces the same values as `forward` on each chunk.
+    Streams in chunks of DESCRIBE_CHUNK so large evaluation batches keep a
+    small footprint. Produces the same values as `forward` on each chunk.
     """
     stack = np.asarray(pixels, dtype=np.float64)
     if stack.ndim != 4 or stack.shape[1:] != PATCH_SHAPE:
         raise ShapeError(f"expected [B,3,32,32] pixels, got {stack.shape}")
     pieces = []
-    for start in range(0, stack.shape[0], chunk):
-        pieces.append(forward(net, stack[start : start + chunk]).data)
+    for start in range(0, stack.shape[0], DESCRIBE_CHUNK):
+        pieces.append(forward(net, stack[start : start + DESCRIBE_CHUNK]).data)
     return np.concatenate(pieces)
 
 
@@ -195,7 +198,7 @@ def load_net(path) -> DescriptorNet:
         try:
             header = json.loads(header_line.decode("ascii"))
             shapes = [tuple(s) for s in header["shapes"]]
-            count = int(header["count"])
+            count = header["count"]
         except (ValueError, KeyError, TypeError) as exc:
             raise IntegrityError(f"malformed header: {exc}") from exc
         # The conv and fc output widths in the header fix every other shape.
@@ -204,8 +207,8 @@ def load_net(path) -> DescriptorNet:
         if shapes != expected:
             raise ShapeError(f"layer shapes {shapes} do not match the expected architecture")
         total = sum(int(np.prod(shape)) for shape in expected)
-        if count != total:
-            raise ShapeError(f"parameter count {count} != {total}")
+        if type(count) is not int or count != total:
+            raise ShapeError(f"parameter count {count!r} != {total}")
         payload = fh.read()
     if len(payload) != 4 * count:
         raise IntegrityError(

@@ -77,10 +77,7 @@ class Tensor:
         backward_fn: Callable[[np.ndarray], None] | None = None,
         requires_grad: bool = True,
     ):
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(())
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents = parents

@@ -11,7 +11,6 @@ Everything is deterministic in (seed, data, config), whatever the thread count.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .data import BagDataset, BagTriplet, sample_triplet
 from .matching import GramPair, MatchConfig, soft_match_backward, soft_match_score
-from .net import FULL_CHANNELS, FULL_DESCRIPTOR_DIM, DescriptorNet, describe, forward_bag, init_net
+from .net import DescriptorNet, describe, forward_bag, init_net
 from .tensor import Tensor
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "validate",
     "train",
     "split_seed",
-    "write_loss_curves",
 ]
 
 
@@ -130,7 +128,7 @@ def rmsprop_step(
     lr: float,
     decay: float,
     eps: float,
-) -> tuple[dict, dict]:
+) -> None:
     """In-place rmsprop update: v <- decay v + (1-decay) g^2, p -= lr g/(sqrt(v)+eps)."""
     for name, param in params.items():
         g = grads.get(name)
@@ -144,7 +142,6 @@ def rmsprop_step(
         v *= decay
         v += (1.0 - decay) * g * g
         param.data -= lr * g / (np.sqrt(v) + eps)
-    return params, state
 
 
 def _batch_gradients(
@@ -176,13 +173,15 @@ def run_round(
     net: DescriptorNet,
     trainset: BagDataset,
     cfg: TrainConfig,
-    round_index: int,
     rng: np.random.Generator,
     state: dict,
     lr: float,
     threads: int = 1,
-) -> RoundReport:
-    """One round: sample a triplet pool, run the configured rmsprop iterations."""
+) -> float:
+    """One round: sample a triplet pool, run the configured rmsprop iterations.
+
+    Returns the mean training loss over the iterations (NaN when there are none).
+    """
     pool = [sample_triplet(trainset, rng) for _ in range(cfg.triplets_per_round)]
     losses = []
     for _ in range(cfg.iters_per_round):
@@ -191,8 +190,7 @@ def run_round(
         mean_loss, grads = _batch_gradients(net, batch, cfg.match, threads)
         losses.append(mean_loss)
         rmsprop_step(net.params, grads, state, lr, cfg.rmsprop_decay, cfg.rmsprop_eps)
-    train_loss = float(np.mean(losses)) if losses else float("nan")
-    return RoundReport(round_index, train_loss, float("nan"), lr)
+    return float(np.mean(losses)) if losses else float("nan")
 
 
 def validate(
@@ -232,32 +230,26 @@ def validate(
 
 def train(
     trainset: BagDataset,
-    valset: BagDataset | list[BagTriplet],
+    valset: BagDataset,
     cfg: TrainConfig,
     threads: int = 1,
     val_triplets: int = 128,
-    channels=FULL_CHANNELS,
-    descriptor_dim=FULL_DESCRIPTOR_DIM,
 ) -> tuple[DescriptorNet, list[RoundReport]]:
-    """Full learning run; returns the best-validation snapshot and loss curves.
+    """Full-width learning run; returns the best-validation snapshot and loss curves.
 
     The master seed splits into independent streams for initialization,
-    round sampling, and the fixed validation triplet list. `valset` may be a
-    BagDataset (triplets are drawn from it once) or an explicit triplet list.
+    round sampling, and the fixed validation triplet list, which is drawn
+    once from `valset`.
     """
+    if set(valset.object_ids) & set(trainset.object_ids):
+        raise ValueError("train and validation object ids must be disjoint")
     init, sampling, validation = split_seed(cfg.seed)
     init_seed = int(init.generate_state(1)[0])
     sample_rng = np.random.Generator(np.random.PCG64(sampling))
     val_rng = np.random.Generator(np.random.PCG64(validation))
 
-    net = init_net(init_seed, channels, descriptor_dim)
-
-    if isinstance(valset, BagDataset):
-        if set(valset.object_ids) & set(trainset.object_ids):
-            raise ValueError("train and validation object ids must be disjoint")
-        val_list = [sample_triplet(valset, val_rng) for _ in range(val_triplets)]
-    else:
-        val_list = list(valset)
+    net = init_net(init_seed)
+    val_list = [sample_triplet(valset, val_rng) for _ in range(val_triplets)]
 
     state: dict = {}
     lr = cfg.lr0
@@ -266,8 +258,8 @@ def train(
     best_params = None
     rounds_since_best = 0
     for round_index in range(cfg.rounds):
-        report = run_round(net, trainset, cfg, round_index, sample_rng, state, lr, threads)
-        report.val_loss = validate(net, val_list, cfg.match, threads)
+        train_loss = run_round(net, trainset, cfg, sample_rng, state, lr, threads)
+        report = RoundReport(round_index, train_loss, validate(net, val_list, cfg.match, threads), lr)
         curves.append(report)
         if report.val_loss < best_loss:
             best_loss = report.val_loss
@@ -282,14 +274,3 @@ def train(
         for name, p in net.params.items():
             p.data = best_params[name]
     return net, curves
-
-
-def write_loss_curves(path, curves: list[RoundReport]) -> None:
-    """Plain-text CSV: round,train_loss,val_loss,lr."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "train_loss", "val_loss", "lr"])
-        for report in curves:
-            writer.writerow(
-                [report.round_index, repr(report.train_loss), repr(report.val_loss), repr(report.lr)]
-            )

@@ -190,6 +190,10 @@ def test_invalid_config_fails_before_writing(tmp_path):
     assert not (out / "manifest_gen_data.json").exists()
     assert main(["--seed", "-1", "--out", str(out), "gen-data"]) == 1
     assert not any(out.glob("*.bags"))
+    for radius in (0, -4):  # a crop of side 2 * radius would be empty
+        cfg = write_config(tmp_path, {"data": {"patch_radius": radius}})
+        assert main(["--config", str(cfg), "--out", str(out), "gen-data"]) == 1
+        assert not any(out.glob("*.bags"))
 
 
 def test_missing_model_is_an_error(generated, tmp_path):

@@ -11,7 +11,6 @@ from bagdesc.data import (
     BagTriplet,
     DataError,
     PatchBag,
-    build_bag,
     build_dataset,
     downsample4,
     extract_bag,
@@ -272,6 +271,13 @@ def test_extract_bag_rejects_when_too_few(scene):
         extract_bag(scene, detections, 74, patch_radius=16)
 
 
+@pytest.mark.parametrize("radius", [0, -4])
+def test_extract_bag_rejects_radius_below_one(scene, radius):
+    detections = fast_detect(downsample4(scene.pixels), 0.05, 75)
+    with pytest.raises(DataError, match="radius"):
+        extract_bag(scene, detections, 1, patch_radius=radius)
+
+
 def test_build_dataset_and_determinism():
     a = build_dataset(3, 2, 8, seed=5, split="train")
     b = build_dataset(3, 2, 8, seed=5, split="train")
@@ -279,6 +285,24 @@ def test_build_dataset_and_determinism():
     assert a.object_ids == [0, 1, 2]
     for ba, bb in zip(a.bags, b.bags):
         assert np.array_equal(ba.pixel_stack(), bb.pixel_stack())
+
+
+# SHA-256 over every bag's pixels and keypoints of
+# build_dataset(2, 2, 4, seed, image_size=256, patch_radius=8), recorded
+# before build_dataset called fast_detect and extract_bag directly.
+DATASET_DIGESTS = {
+    0: "5314c577e22effcb677bbb754d91cb223abf31d51c9dfe47048c6e23c62cf651",
+    5: "7cbab5b9a90f6e07ca4f9e5b11776a90a7147cd0f4b624ef8f0415866ea081c5",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DATASET_DIGESTS))
+def test_build_dataset_bytes_are_pinned(seed):
+    digest = hashlib.sha256()
+    for bag in build_dataset(2, 2, 4, seed, image_size=256, patch_radius=8).bags:
+        digest.update(np.ascontiguousarray(bag.pixels, "<f8").tobytes())
+        digest.update(np.asarray(bag.keypoints, "<i8").tobytes())
+    assert digest.hexdigest() == DATASET_DIGESTS[seed]
 
 
 def test_patch_bag_validates():
@@ -442,6 +466,18 @@ def test_dataset_file_rejects_corruption(tmp_path):
     negative_n.write_bytes(bytes(raw).replace(b'"n": 4', b'"n": -4', 1))
     with pytest.raises(DataError, match="positive"):
         load_dataset(negative_n)
+
+    # counts that int() would truncate to a valid header
+    for old, new in (
+        (b'"n": 4', b'"n": 4.9'),
+        (b'"num_objects": 3', b'"num_objects": 3.7'),
+        (b'"patch_side": 32', b'"patch_side": 32.5'),
+    ):
+        assert old in raw
+        fractional = tmp_path / "fraction.dat"
+        fractional.write_bytes(bytes(raw).replace(old, new, 1))
+        with pytest.raises(DataError, match="integers"):
+            load_dataset(fractional)
 
     # one pixel of the second record out of [0, 1] or non-finite
     record_bytes = 12 + 4 * 4 * 3 * 32 * 32

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bagdesc.net import (
+    DESCRIBE_CHUNK,
     FULL_CHANNELS,
     FULL_DESCRIPTOR_DIM,
     FULL_PARAM_COUNT,
@@ -131,9 +132,10 @@ def test_forward_bag_rows():
 
 
 def test_describe_matches_forward():
-    net = init_net(4)
-    stack = np.random.default_rng(8).uniform(0, 1, (7, 3, 32, 32))
-    a = describe(net, stack, chunk=3)
+    net = init_net(4, channels=REDUCED_CHANNELS, descriptor_dim=REDUCED_DESCRIPTOR_DIM)
+    # two full chunks and a short third one
+    stack = np.random.default_rng(8).uniform(0, 1, (2 * DESCRIBE_CHUNK + 3, 3, 32, 32))
+    a = describe(net, stack)
     b = forward_bag(net, stack).data
     assert np.max(np.abs(a - b)) < 1e-12
 
@@ -224,7 +226,10 @@ def test_load_rejects_wrong_parameter_count(tmp_path):
         def float_width(header):
             header["shapes"][0][0] = float(header["shapes"][0][0])
 
-        for edit in (miscount, widen_conv2, drop_fc_bias, float_width):
+        def fractional_count(header):  # int() would truncate it to the right count
+            header["count"] += 0.5
+
+        for edit in (miscount, widen_conv2, drop_fc_bias, float_width, fractional_count):
             path.write_bytes(_rewrite_header(raw, edit))
             with pytest.raises(ShapeError):
                 load_net(path)

@@ -21,8 +21,8 @@ from bagdesc.train import (
     train,
     triplet_loss,
     validate,
-    write_loss_curves,
 )
+from bagdesc.retrieval import write_score_rows
 
 from forward_loss import forward_triplet_loss
 
@@ -167,7 +167,8 @@ def test_run_round_zero_iters_leaves_net_unchanged():
     net = init_net(0)
     before = {k: v.data.copy() for k, v in net.params.items()}
     cfg = TrainConfig(iters_per_round=0, triplets_per_round=8, batch_size=4, rounds=1)
-    run_round(net, ds, cfg, 0, np.random.default_rng(0), {}, lr=cfg.lr0)
+    loss = run_round(net, ds, cfg, np.random.default_rng(0), {}, lr=cfg.lr0)
+    assert np.isnan(loss)
     for k in before:
         assert np.array_equal(net.params[k].data, before[k])
 
@@ -177,8 +178,8 @@ def test_run_round_zero_lr_leaves_net_unchanged():
     net = init_net(0)
     before = {k: v.data.copy() for k, v in net.params.items()}
     cfg = TrainConfig(iters_per_round=2, triplets_per_round=8, batch_size=2, rounds=1)
-    report = run_round(net, ds, cfg, 0, np.random.default_rng(0), {}, lr=0.0)
-    assert np.isfinite(report.train_loss)
+    loss = run_round(net, ds, cfg, np.random.default_rng(0), {}, lr=0.0)
+    assert np.isfinite(loss)
     for k in before:
         assert np.array_equal(net.params[k].data, before[k])
 
@@ -263,11 +264,15 @@ def test_write_loss_curves(tmp_path):
     cfg = _quick_cfg(rounds=2)
     _, curves = train(trainset, valset, cfg, val_triplets=4)
     path = tmp_path / "curves.csv"
-    write_loss_curves(path, curves)
+    header = ["round", "train_loss", "val_loss", "lr"]
+    write_score_rows(path, header, [(r.round_index, r.train_loss, r.val_loss, r.lr) for r in curves])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "round,train_loss,val_loss,lr"
     assert len(lines) == 3
     assert lines[1].startswith("0,")
+    # floats are written with repr, so they read back exactly
+    for line, r in zip(lines[1:], curves):
+        assert line == f"{r.round_index},{r.train_loss!r},{r.val_loss!r},{r.lr!r}"
 
 
 def test_threaded_batch_matches_single_threaded():
