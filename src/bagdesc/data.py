@@ -529,6 +529,8 @@ def build_dataset(
     """
     if num_objects < 1 or views_per_object < 2:
         raise DataError("need at least 1 object and 2 views per object")
+    if patch_radius < 1:
+        raise DataError(f"patch radius must be at least 1, got {patch_radius}")
     bags: list[PatchBag] = []
     for index in range(num_objects):
         object_id = first_object_id + index

@@ -98,12 +98,6 @@ class DescriptorNet:
         self.params = {name: params[name] for name in self.PARAM_NAMES}
         self.channels = tuple(channels)
         self.descriptor_dim = descriptor_dim
-        if self.channels == FULL_CHANNELS and descriptor_dim == FULL_DESCRIPTOR_DIM:
-            if self.param_count != FULL_PARAM_COUNT:
-                raise ShapeError(
-                    f"full-width net must have {FULL_PARAM_COUNT} parameters, "
-                    f"got {self.param_count}"
-                )
 
     @property
     def param_count(self) -> int:
@@ -145,11 +139,11 @@ def forward(net: DescriptorNet, patch) -> Tensor:
     return l2_normalize(x)
 
 
-def forward_bag(net: DescriptorNet, bag) -> Tensor:
-    """Stack of descriptors, one row per patch of the bag."""
-    stack = bag.pixel_stack() if hasattr(bag, "pixel_stack") else np.asarray(bag, dtype=np.float64)
+def forward_bag(net: DescriptorNet, pixels: np.ndarray) -> Tensor:
+    """Stack of descriptors, one row per patch of the [n,3,32,32] pixels."""
+    stack = np.asarray(pixels, dtype=np.float64)
     if stack.ndim != 4 or stack.shape[0] < 1:
-        raise ShapeError(f"bag must stack to [n,3,32,32], got {stack.shape}")
+        raise ShapeError(f"expected [n,3,32,32] pixels, got {stack.shape}")
     return forward(net, stack)
 
 

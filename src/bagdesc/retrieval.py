@@ -1,12 +1,14 @@
 """Retrieval evaluation: keypoint-match ranking and VLAD aggregation.
 
-Matching-based retrieval ranks database images by the hard bag match score
-at a threshold tuned on a separate split (the relaxation exists only for
-learning). VLAD-based retrieval sums descriptor-minus-centroid residuals per
-k-means centroid, concatenates the blocks, L2-normalizes the result, and
-ranks by inner product. Quality is summarized by NN / FT / ST: the fraction
-of same-class items within the top 1, C-1, and 2(C-1) results for a class
-with C members, averaged over all queries. Queries never rank themselves.
+A split's descriptors are one [B, n, d] array; a bag's row is its id, and
+rankings break ties by the lower row. Matching-based retrieval ranks bags by
+the hard bag match score at a threshold tuned on a separate split (the
+relaxation exists only for learning). VLAD-based retrieval sums
+descriptor-minus-centroid residuals per k-means centroid, concatenates the
+blocks, L2-normalizes the result, and ranks by inner product. Quality is
+summarized by NN / FT / ST: the fraction of same-class items within the top
+1, C-1, and 2(C-1) results for a class with C members, averaged over all
+queries. Queries never rank themselves.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ import numpy as np
 
 from .data import BagDataset
 from .matching import ROW_NORM_TOL, GramPair, hard_match_score
-from .net import DescriptorNet, forward_bag
+from .net import DescriptorNet, describe
+# Unused here, but perfbench/tracer.py wraps this name in this module.
+from .net import forward_bag  # noqa: F401
 
 __all__ = [
-    "RetrievalEntry",
-    "RetrievalIndex",
     "VladCodebook",
     "build_match_index",
     "hard_score_matrix",
@@ -37,23 +39,6 @@ __all__ = [
     "vlad_retrieve",
     "write_score_rows",
 ]
-
-
-@dataclass
-class RetrievalEntry:
-    image_id: int
-    object_id: int
-    payload: np.ndarray  # [n, d] descriptor matrix or flat VLAD vector
-
-
-@dataclass
-class RetrievalIndex:
-    entries: list[RetrievalEntry]
-
-    def __post_init__(self):
-        ids = [e.image_id for e in self.entries]
-        if len(set(ids)) != len(ids):
-            raise ValueError("image ids must be unique")
 
 
 @dataclass
@@ -80,55 +65,51 @@ class VladCodebook:
         return self.centroids.shape[0]
 
 
-def build_match_index(net: DescriptorNet, dataset: BagDataset) -> RetrievalIndex:
-    """Descriptor matrices for every bag, image ids in dataset order."""
-    entries = [
-        RetrievalEntry(i, bag.object_id, forward_bag(net, bag).data)
-        for i, bag in enumerate(dataset.bags)
-    ]
-    return RetrievalIndex(entries)
+def build_match_index(net: DescriptorNet, dataset: BagDataset) -> np.ndarray:
+    """[B, n, d] descriptors of every bag, in dataset order."""
+    return np.stack([describe(net, bag.pixels) for bag in dataset.bags])
 
 
-def _ranked(scored) -> list[tuple[int, float]]:
-    """(id, score) pairs by descending score; ties by ascending id."""
-    ranked = sorted(scored, key=lambda item: (-item[1], item[0]))
+def _ranked(scores, exclude: int | None = None) -> list[tuple[int, float]]:
+    """(row, score) pairs by descending score, ties by ascending row, without row `exclude`."""
+    ranked = sorted(
+        ((r, s) for r, s in enumerate(scores) if r != exclude), key=lambda item: (-item[1], item[0])
+    )
     if not ranked:
-        raise ValueError("index has no entries to rank")
+        raise ValueError("no rows to rank")
     return ranked
 
 
 def match_retrieve(
     query_desc: np.ndarray,
-    index: RetrievalIndex,
+    descs: np.ndarray,
     tau: float,
-    exclude_image_id: int | None = None,
+    exclude: int | None = None,
 ) -> list[tuple[int, float]]:
-    """Database images by descending hard match score; ties by ascending id."""
-    candidates = [e for e in index.entries if e.image_id != exclude_image_id]
-    return _ranked(
-        (e.image_id, hard_match_score(GramPair(query_desc, e.payload), tau)) for e in candidates
-    )
+    """Rows of `descs` by descending hard match score against the query."""
+    return _ranked([hard_match_score(GramPair(query_desc, d), tau) for d in descs], exclude)
 
 
-def hard_score_matrix(index: RetrievalIndex, taus) -> np.ndarray:
-    """[T, B, B]: entry [t, q, r] is hard_match_score(GramPair(q, r), taus[t]),
+def hard_score_matrix(descs: np.ndarray, taus) -> np.ndarray:
+    """[T, B, B]: entry [t, q, r] is hard_match_score(GramPair(descs[q], descs[r]), taus[t]),
     bit for bit, from one stacked product per query and one unit-norm check."""
-    descs = np.stack([np.asarray(e.payload, dtype=np.float64) for e in index.entries])
+    if descs.ndim != 3:
+        raise ValueError(f"descriptors must be [B, n, d], got {descs.shape}")
     deviation = np.abs(np.linalg.norm(descs, axis=2) - 1.0)
     if np.any(deviation > ROW_NORM_TOL):
-        raise ValueError(f"index has non-unit rows (max deviation {deviation.max():.2e})")
+        raise ValueError(f"descriptors have non-unit rows (max deviation {deviation.max():.2e})")
     mins = np.stack([(2.0 - 2.0 * (d @ descs.transpose(0, 2, 1))).min(axis=2) for d in descs])
     return np.mean(mins <= np.reshape(taus, (-1, 1, 1, 1)), axis=3)
 
 
 def rank_and_score(scores: np.ndarray, object_ids) -> tuple[float, float, float]:
     """NN / FT / ST when each row q of the [B, B] scores ranks every other
-    index (ties by ascending index); class sizes are counted from object_ids."""
+    row (ties by ascending row); class sizes are counted from object_ids."""
     ids = list(object_ids)
     if np.shape(scores) != (len(ids), len(ids)):
         raise ValueError(f"scores {np.shape(scores)} do not match {len(ids)} object ids")
     rankings = [
-        (ids[q], [ids[r] for r, _ in _ranked((r, s) for r, s in enumerate(row) if r != q)])
+        (ids[q], [ids[r] for r, _ in _ranked(row, q)])
         for q, row in enumerate(np.asarray(scores, dtype=np.float64).tolist())
     ]
     return nn_ft_st(rankings, Counter(ids))
@@ -178,11 +159,10 @@ def sweep_tau(
         raise ValueError("tau grid must not be empty")
     if np.any(grid <= 0.0) or np.any(grid >= 4.0):
         raise ValueError("tau grid values must lie in (0, 4)")
-    index = build_match_index(net, dataset)
-    object_ids = [e.object_id for e in index.entries]
+    object_ids = [bag.object_id for bag in dataset.bags]
     rows = [
         (float(tau), *rank_and_score(scores, object_ids))
-        for tau, scores in zip(grid, hard_score_matrix(index, grid))
+        for tau, scores in zip(grid, hard_score_matrix(build_match_index(net, dataset), grid))
     ]
     return max(rows, key=lambda row: (row[1], row[2], -row[0]))[0], rows
 
@@ -273,18 +253,14 @@ def vlad_encode(descriptors: np.ndarray, codebook: VladCodebook) -> np.ndarray:
 
 def vlad_retrieve(
     query_vlad: np.ndarray,
-    index: RetrievalIndex,
-    exclude_image_id: int | None = None,
+    vlads: np.ndarray,
+    exclude: int | None = None,
 ) -> list[tuple[int, float]]:
-    """Database images by descending inner product; ties by ascending id."""
+    """Rows of the [B, D] `vlads` by descending inner product with the query."""
     query = np.asarray(query_vlad, dtype=np.float64)
-    candidates = [e for e in index.entries if e.image_id != exclude_image_id]
-    for e in candidates:
-        if e.payload.shape != query.shape:
-            raise ValueError(
-                f"VLAD dimension mismatch: query {query.shape}, entry {e.payload.shape}"
-            )
-    return _ranked((e.image_id, float(e.payload @ query)) for e in candidates)
+    if vlads.ndim != 2 or vlads.shape[1:] != query.shape:
+        raise ValueError(f"VLAD dimension mismatch: query {query.shape}, database {vlads.shape}")
+    return _ranked([float(v @ query) for v in vlads], exclude)
 
 
 def write_score_rows(path, header: list[str], rows) -> None:

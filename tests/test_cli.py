@@ -1,5 +1,6 @@
 """End-to-end command-line runs on miniature configurations."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -168,6 +169,59 @@ def test_train_and_reports(generated, tmp_path):
     ) == 0
     sweep = (run / "sweep_val.csv").read_text().strip().splitlines()
     assert len(sweep) == 4  # 3 grid points
+
+
+def test_train_with_zero_iterations_writes_nan_train_loss(generated, tmp_path):
+    out, _ = generated
+    run = tmp_path / "idle"
+    cfg = write_config(tmp_path, {"train": {"iters_per_round": 0}})
+    assert main(["--config", str(cfg), "--out", str(run), "train", "--data", str(out)]) == 0
+    header, row = (run / "curves.csv").read_text().strip().splitlines()
+    values = dict(zip(header.split(","), row.split(",")))
+    assert values["train_loss"] == "nan"
+    assert np.isfinite(float(values["val_loss"]))
+
+
+# Three objects per evaluated split, and a tau grid across the row-minimum
+# distances of init_net(0)'s descriptors (about 0.01 to 0.07), so a moved
+# score shows in NN, FT or ST.
+EVAL_OVERRIDES = {
+    "data": {"objects": 10, "views": 3, "train_fraction": 0.4, "val_fraction": 0.3},
+    "retrieval": {"tau_grid": [0.01, 0.02, 0.03, 0.04, 0.06], "k_list": [2, 4]},
+}
+# SHA-256 of every CSV that eval-match, eval-vlad and sweep-tau write with
+# init_net(0) on data from EVAL_OVERRIDES, one output directory per command
+# and split, recorded while evaluation still described bags through
+# `forward_bag`.
+EVAL_DIGESTS = {
+    "eval-match_test/eval_match_test.csv": "aba95b48c2fdd0d7fafa7accc004adf262e3199b92efbbdb3f67bc74452bfea0",
+    "eval-match_test/sweep_val.csv": "ff892ed5a9a3f83f168f43662517a1019e88d211491bf9d6c79eeab7ab1a66c2",
+    "eval-match_val/eval_match_val.csv": "5d61c0e4d86c142c33a973f47cb6570cd1a7a49d08d1154e01437b12ddeceb44",
+    "eval-match_val/sweep_val.csv": "ff892ed5a9a3f83f168f43662517a1019e88d211491bf9d6c79eeab7ab1a66c2",
+    "eval-vlad_test/eval_vlad_test.csv": "3c33c48db83c42db084f36a984c38833902f0c7abcd4dadf854cbe330ff86a0c",
+    "eval-vlad_val/eval_vlad_val.csv": "ea14b95b97e9d52bf6e4bbc1fcd9205dcf1fb73f1893eb6328bba27633589339",
+    "sweep-tau_test/sweep_test.csv": "10c931dc3b90c4f7331a0c6efd89e175dbad46ad9ea0523f2b2e42e155b7657a",
+    "sweep-tau_val/sweep_val.csv": "ff892ed5a9a3f83f168f43662517a1019e88d211491bf9d6c79eeab7ab1a66c2",
+}
+
+
+def test_eval_outputs_are_pinned(tmp_path):
+    cfg = write_config(tmp_path, EVAL_OVERRIDES)
+    data = tmp_path / "data"
+    assert main(["--config", str(cfg), "--out", str(data), "gen-data"]) == 0
+    model = tmp_path / "init.net"
+    save_net(init_net(0), model)
+    digests = {}
+    for command in ("eval-match", "eval-vlad", "sweep-tau"):
+        for split in ("test", "val"):
+            run = tmp_path / f"{command}_{split}"
+            assert main(
+                ["--config", str(cfg), "--out", str(run), command,
+                 "--data", str(data), "--model", str(model), "--split", split]
+            ) == 0
+            for path in sorted(run.glob("*.csv")):
+                digests[f"{run.name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == EVAL_DIGESTS
 
 
 def test_vlad_dim_k_list_248(generated, tmp_path):

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import bagdesc.data as data
 from bagdesc.data import (
     _bilinear_sample,
     BagDataset,
@@ -285,6 +286,20 @@ def test_build_dataset_and_determinism():
     assert a.object_ids == [0, 1, 2]
     for ba, bb in zip(a.bags, b.bags):
         assert np.array_equal(ba.pixel_stack(), bb.pixel_stack())
+
+
+def test_build_dataset_rejects_bad_radius_before_rendering(monkeypatch):
+    renders = []
+
+    def counting_scene(*args, **kwargs):
+        renders.append(args)
+        return generate_scene(*args, **kwargs)
+
+    monkeypatch.setattr(data, "generate_scene", counting_scene)
+    for radius in (0, -4):
+        with pytest.raises(DataError, match="radius"):
+            build_dataset(1, 2, 4, 0, image_size=256, patch_radius=radius)
+    assert renders == []
 
 
 # SHA-256 over every bag's pixels and keypoints of

@@ -8,8 +8,6 @@ from bagdesc.data import BagDataset, PatchBag
 from bagdesc.matching import GramPair, hard_match_score, sqdist_matrix
 from bagdesc.net import init_net
 from bagdesc.retrieval import (
-    RetrievalEntry,
-    RetrievalIndex,
     VladCodebook,
     build_match_index,
     default_tau_grid,
@@ -34,20 +32,17 @@ def unit_rows(a):
 def test_match_retrieve_duplicate_ranks_first():
     query = unit_rows(RNG.normal(size=(6, 8)))
     others = [unit_rows(RNG.normal(size=(6, 8))) for _ in range(3)]
-    index = RetrievalIndex(
-        [RetrievalEntry(0, 0, others[0]), RetrievalEntry(1, 1, query.copy()),
-         RetrievalEntry(2, 2, others[1]), RetrievalEntry(3, 3, others[2])]
-    )
-    ranked = match_retrieve(query, index, tau=0.3)
+    descs = np.stack([others[0], query.copy(), others[1], others[2]])
+    ranked = match_retrieve(query, descs, tau=0.3)
     assert ranked[0] == (1, 1.0)
 
 
 def test_match_retrieve_zero_tau_gives_id_order():
     rng = np.random.default_rng(1)
     query = unit_rows(rng.normal(size=(4, 16)))
-    entries = [RetrievalEntry(i, i, unit_rows(rng.normal(size=(4, 16)))) for i in range(5)]
-    ranked = match_retrieve(query, RetrievalIndex(entries), tau=1e-9)
-    assert [image_id for image_id, _ in ranked] == [0, 1, 2, 3, 4]
+    descs = np.stack([unit_rows(rng.normal(size=(4, 16))) for _ in range(5)])
+    ranked = match_retrieve(query, descs, tau=1e-9)
+    assert [row for row, _ in ranked] == [0, 1, 2, 3, 4]
     assert all(score == 0.0 for _, score in ranked)
 
 
@@ -55,54 +50,53 @@ def test_match_retrieve_hand_built_ordering():
     # orthonormal basis rows: overlap with the query controls the score
     e = np.eye(8)
     query = e[:4]
-    entries = [
-        RetrievalEntry(0, 0, np.vstack([e[0], e[1], e[4], e[5]])),  # 2/4 rows match
-        RetrievalEntry(1, 1, np.vstack([e[0], e[1], e[2], e[5]])),  # 3/4 rows match
-        RetrievalEntry(2, 2, np.vstack([e[4], e[5], e[6], e[7]])),  # nothing matches
-    ]
-    ranked = match_retrieve(query, RetrievalIndex(entries), tau=0.5)
-    assert [image_id for image_id, _ in ranked] == [1, 0, 2]
+    descs = np.stack([
+        np.vstack([e[0], e[1], e[4], e[5]]),  # 2/4 rows match
+        np.vstack([e[0], e[1], e[2], e[5]]),  # 3/4 rows match
+        np.vstack([e[4], e[5], e[6], e[7]]),  # nothing matches
+    ])
+    ranked = match_retrieve(query, descs, tau=0.5)
+    assert [row for row, _ in ranked] == [1, 0, 2]
     assert [score for _, score in ranked] == [0.75, 0.5, 0.0]
 
 
 def test_match_retrieve_excludes_query_and_rejects_empty():
     e = np.eye(4)
-    index = RetrievalIndex([RetrievalEntry(0, 0, e)])
-    assert match_retrieve(e, index, 0.5) == [(0, 1.0)]
+    assert match_retrieve(e, e[None], 0.5) == [(0, 1.0)]
     with pytest.raises(ValueError):
-        match_retrieve(e, index, 0.5, exclude_image_id=0)
+        match_retrieve(e, e[None], 0.5, exclude=0)
 
 
-def duplicated_index(rng, n, d, views=3, objects=4):
-    """Unit-row bags of `objects` classes; entries 1 and 5 are exact copies."""
-    payloads = [unit_rows(rng.normal(size=(n, d))) for _ in range(views * objects)]
-    payloads[5] = payloads[1].copy()
-    return RetrievalIndex(
-        [RetrievalEntry(i, i % objects, p) for i, p in enumerate(payloads)]
-    )
+def duplicated_descs(rng, n, d, views=3, objects=4):
+    """[B, n, d] unit-row bags of `objects` classes, with their object ids;
+    bags 1 and 5 are exact copies."""
+    descs = np.stack([unit_rows(rng.normal(size=(n, d))) for _ in range(views * objects)])
+    descs[5] = descs[1]
+    return descs, [b % objects for b in range(len(descs))]
 
 
 def test_hard_score_matrix_matches_pairwise_scores():
     rng = np.random.default_rng(4)
     for n, d in ((5, 3), (12, 64), (32, 64)):
-        index = duplicated_index(rng, n, d)
+        descs, _ = duplicated_descs(rng, n, d)
         # the last tau sits exactly on a row minimum: `<=` counts that row
-        exact = sqdist_matrix(GramPair(index.entries[0].payload, index.entries[1].payload))
+        exact = sqdist_matrix(GramPair(descs[0], descs[1]))
         taus = [0.05, 0.5, 1.0, 1.5, 2.0, 3.9, float(np.median(exact.min(axis=1)))]
-        scores = hard_score_matrix(index, taus)
-        assert scores.shape == (len(taus), len(index.entries), len(index.entries))
+        scores = hard_score_matrix(descs, taus)
+        assert scores.shape == (len(taus), len(descs), len(descs))
         for t, tau in enumerate(taus):
-            for q, query in enumerate(index.entries):
-                for r, entry in enumerate(index.entries):
-                    expected = hard_match_score(GramPair(query.payload, entry.payload), tau)
-                    assert scores[t, q, r] == expected
+            for q, query in enumerate(descs):
+                for r, other in enumerate(descs):
+                    assert scores[t, q, r] == hard_match_score(GramPair(query, other), tau)
 
 
 def test_hard_score_matrix_rejects_non_unit_row():
-    index = duplicated_index(np.random.default_rng(5), 4, 8)
-    index.entries[2].payload[3] *= 1.0 + 1e-4
+    descs, _ = duplicated_descs(np.random.default_rng(5), 4, 8)
+    with pytest.raises(ValueError, match=r"\[B, n, d\]"):
+        hard_score_matrix(descs[0], [0.5])
+    descs[2, 3] *= 1.0 + 1e-4
     with pytest.raises(ValueError, match="non-unit"):
-        hard_score_matrix(index, [0.5])
+        hard_score_matrix(descs, [0.5])
 
 
 def rankings_seen_by_nn_ft_st(monkeypatch, scores, object_ids):
@@ -123,15 +117,13 @@ def rankings_seen_by_nn_ft_st(monkeypatch, scores, object_ids):
 def test_rank_and_score_matches_match_retrieve(monkeypatch):
     rng = np.random.default_rng(6)
     for _ in range(4):
-        index = duplicated_index(rng, 4, 3)
-        object_ids = [e.object_id for e in index.entries]
-        for tau, scores in zip((0.2, 0.8, 2.5), hard_score_matrix(index, (0.2, 0.8, 2.5))):
+        descs, object_ids = duplicated_descs(rng, 4, 3)
+        for tau, scores in zip((0.2, 0.8, 2.5), hard_score_matrix(descs, (0.2, 0.8, 2.5))):
             rankings, sizes = rankings_seen_by_nn_ft_st(monkeypatch, scores, object_ids)
-            expected = [
-                (e.object_id, [object_ids[i] for i, _ in
-                               match_retrieve(e.payload, index, tau, exclude_image_id=e.image_id)])
-                for e in index.entries
-            ]
+            expected = []
+            for q, query in enumerate(descs):
+                ranked = match_retrieve(query, descs, tau, exclude=q)
+                expected.append((object_ids[q], [object_ids[r] for r, _ in ranked]))
             assert rankings == expected
             assert sizes == {0: 3, 1: 3, 2: 3, 3: 3}
 
@@ -141,12 +133,11 @@ def test_rank_and_score_matches_vlad_retrieve(monkeypatch):
     vlads = unit_rows(rng.normal(size=(10, 6)))
     vlads[7] = vlads[2]
     vlads[4] = vlads[8] = 0.0  # all-zero encodings tie at score 0
-    index = RetrievalIndex([RetrievalEntry(i, i % 5, v) for i, v in enumerate(vlads)])
-    object_ids = [e.object_id for e in index.entries]
+    object_ids = [b % 5 for b in range(len(vlads))]
     rankings, _ = rankings_seen_by_nn_ft_st(monkeypatch, vlads @ vlads.T, object_ids)
-    for (query_obj, retrieved), e in zip(rankings, index.entries):
-        ranked = vlad_retrieve(e.payload, index, exclude_image_id=e.image_id)
-        assert (query_obj, retrieved) == (e.object_id, [object_ids[i] for i, _ in ranked])
+    for q, (query_obj, retrieved) in enumerate(rankings):
+        ranked = vlad_retrieve(vlads[q], vlads, exclude=q)
+        assert (query_obj, retrieved) == (object_ids[q], [object_ids[r] for r, _ in ranked])
 
 
 def test_rank_and_score_ties_by_index_and_leaves_query_out():
@@ -221,9 +212,10 @@ def sweep_fixture():
 def test_sweep_tau_single_value_and_tie_rule():
     ds = sweep_fixture()
     net = init_net(0)
-    index = build_match_index(net, ds)
+    descs = build_match_index(net, ds)
+    assert descs.shape == (4, 4, 64)
     # cross-object minimum squared distance bounds the usable range
-    cross = sqdist_matrix(GramPair(index.entries[0].payload, index.entries[2].payload)).min()
+    cross = sqdist_matrix(GramPair(descs[0], descs[2])).min()
     lo = float(cross) / 4.0
     best, rows = sweep_tau(ds, net, [lo])
     assert best == pytest.approx(lo)
@@ -331,25 +323,21 @@ def test_vlad_assignment_tie_goes_to_lowest_index():
 
 def test_vlad_retrieve_orderings():
     q = np.array([1.0, 0.0, 0.0])
-    entries = [
-        RetrievalEntry(0, 0, np.array([0.0, 1.0, 0.0])),
-        RetrievalEntry(1, 1, q.copy()),
-        RetrievalEntry(2, 2, np.array([0.6, 0.8, 0.0])),
-    ]
-    ranked = vlad_retrieve(q, RetrievalIndex(entries))
+    vlads = np.array([[0.0, 1.0, 0.0], q, [0.6, 0.8, 0.0]])
+    ranked = vlad_retrieve(q, vlads)
     assert ranked[0] == (1, pytest.approx(1.0))
-    assert [i for i, _ in ranked] == [1, 2, 0]
+    assert [r for r, _ in ranked] == [1, 2, 0]
     assert ranked[2][1] == pytest.approx(0.0)
 
     with pytest.raises(ValueError):
-        vlad_retrieve(np.zeros(4), RetrievalIndex(entries))
+        vlad_retrieve(np.zeros(4), vlads)
 
 
 def test_vlad_retrieve_tie_break_by_id():
     q = np.array([1.0, 0.0])
-    entries = [RetrievalEntry(3, 0, q.copy()), RetrievalEntry(1, 1, q.copy())]
-    ranked = vlad_retrieve(q, RetrievalIndex(entries))
-    assert [i for i, _ in ranked] == [1, 3]
+    vlads = np.array([[0.0, 1.0], q, q])
+    ranked = vlad_retrieve(q, vlads)
+    assert [r for r, _ in ranked] == [1, 2, 0]
 
 
 def test_write_score_rows(tmp_path):

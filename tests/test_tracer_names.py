@@ -5,6 +5,7 @@ src/ would otherwise only surface when `perfbench/run.py --trace 1` runs.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -108,3 +109,36 @@ def test_traced_build_dataset_records_the_data_layer(tracer_module):
     assert tracer.counts["data.scene_attempts"] == names.count("data.scene") >= 2
     metrics = tracer_module.layer_metrics(tracer, passes=1)
     assert metrics["data.scene_s"][0] > 0
+
+
+def test_traced_eval_records_the_retrieval_layer(tracer_module, tmp_path):
+    """eval's per-layer metrics rest on these wrapped names, and every bag
+    of the tuning and target splits is described once per command."""
+    from bagdesc.data import load_dataset
+
+    cli = tracer_module.MODULES["cli"]
+    net = tracer_module.MODULES["net"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "data": {"objects": 7, "views": 2, "bag_size": 6, "image_size": 256, "patch_radius": 8,
+                 "train_fraction": 0.45, "val_fraction": 0.3},
+        "retrieval": {"tau_grid": [0.05, 0.2], "k_list": [2]},
+    }))
+    base = ["--config", str(config), "--out", str(tmp_path)]
+    assert cli.main(base + ["gen-data"]) == 0
+    net.save_net(net.init_net(0), tmp_path / "model.net")
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(base + ["eval-match"]) == 0
+        assert cli.main(base + ["eval-vlad"]) == 0
+    finally:
+        tracer.uninstall()
+    names = {span[1] for span in tracer.spans}
+    assert {"retrieval.index", "retrieval.sweep_tau", "retrieval.kmeans",
+            "retrieval.vlad_encode"} <= names
+    patches = sum(
+        bag.n for split in ("val", "test")
+        for bag in load_dataset(tmp_path / f"{split}.bags", split).bags
+    )
+    assert tracer.counts["net.forward_patches"] == 2 * patches

@@ -90,8 +90,11 @@ def test_triplet_loss_matches_per_bag_forward():
     net = init_net(2)
     cfg = MatchConfig(tau=0.5, beta=10.0)
     got, _ = triplet_loss(net, t, cfg)
-    pair_pos = GramPair(forward_bag(net, t.anchor).data, forward_bag(net, t.positive).data)
-    pair_neg = GramPair(forward_bag(net, t.anchor).data, forward_bag(net, t.negative).data)
+    anchor, positive, negative = (
+        forward_bag(net, bag.pixels).data for bag in (t.anchor, t.positive, t.negative)
+    )
+    pair_pos = GramPair(anchor, positive)
+    pair_neg = GramPair(anchor, negative)
     want = ratio_loss(soft_match_score(pair_pos, cfg), soft_match_score(pair_neg, cfg), cfg.epsilon)
     assert got == pytest.approx(want, abs=1e-10)
 
