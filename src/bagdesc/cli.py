@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -201,12 +202,17 @@ def cmd_gen_data(cfg: dict, out_dir: Path) -> None:
     _write_manifest(out_dir, "manifest_gen_data.json", cfg, {"files": files, "object_counts": counts})
 
 
-def cmd_train(cfg: dict, out_dir: Path, data_dir: Path, threads: int) -> None:
-    train_path = data_dir / "train.bags"
-    val_path = data_dir / "val.bags"
-    for p in (train_path, val_path):
+def _dataset_paths(data_dir: Path, *splits: str) -> list[Path]:
+    """The splits' .bags files, checked to exist before any is read."""
+    paths = [data_dir / f"{split}.bags" for split in splits]
+    for p in paths:
         if not p.exists():
             raise FileNotFoundError(f"missing dataset file {p}")
+    return paths
+
+
+def cmd_train(cfg: dict, out_dir: Path, data_dir: Path, threads: int) -> None:
+    train_path, val_path = _dataset_paths(data_dir, "train", "val")
     trainset = load_dataset(train_path, "train")
     valset = load_dataset(val_path, "val")
     tcfg = _train_config(cfg)
@@ -228,12 +234,17 @@ def cmd_train(cfg: dict, out_dir: Path, data_dir: Path, threads: int) -> None:
     )
 
 
-def cmd_eval_match(cfg: dict, out_dir: Path, data_dir: Path, model_path: Path, split: str) -> None:
+def cmd_eval_match(
+    cfg: dict, out_dir: Path, data_dir: Path, model_path: Path, split: str, threads: int
+) -> None:
     net = load_net(model_path)
-    tuning = load_dataset(data_dir / "val.bags", "val")
-    target = load_dataset(data_dir / f"{split}.bags", split)
-    best_tau, sweep_rows = sweep_tau(tuning, net, cfg["retrieval"]["tau_grid"])
-    scores = hard_score_matrix(build_match_index(net, target), [best_tau])[0]
+    val_path, target_path = _dataset_paths(data_dir, "val", split)
+    # One split in memory at a time: val is dropped once the sweep returns.
+    best_tau, sweep_rows = sweep_tau(
+        load_dataset(val_path, "val"), net, cfg["retrieval"]["tau_grid"], threads
+    )
+    target = load_dataset(target_path, split)
+    scores = hard_score_matrix(build_match_index(net, target, threads), [best_tau])[0]
     nn, ft, st = rank_and_score(scores, [bag.object_id for bag in target.bags])
     write_score_rows(out_dir / "sweep_val.csv", ["tau", "NN", "FT", "ST"], sweep_rows)
     write_score_rows(
@@ -247,13 +258,17 @@ def cmd_eval_match(cfg: dict, out_dir: Path, data_dir: Path, model_path: Path, s
     )
 
 
-def cmd_eval_vlad(cfg: dict, out_dir: Path, data_dir: Path, model_path: Path, split: str) -> None:
+def cmd_eval_vlad(
+    cfg: dict, out_dir: Path, data_dir: Path, model_path: Path, split: str, threads: int
+) -> None:
     net = load_net(model_path)
-    tuning = load_dataset(data_dir / "val.bags", "val")
-    target = load_dataset(data_dir / f"{split}.bags", split)
+    val_path, target_path = _dataset_paths(data_dir, "val", split)
     kmeans_seed = int(split_seed(cfg["seed"])[2].generate_state(1)[0])
-    pool = build_match_index(net, tuning).reshape(-1, net.descriptor_dim)
-    target_desc = build_match_index(net, target)
+    # One split in memory at a time: val is dropped once it is described.
+    pool = build_match_index(net, load_dataset(val_path, "val"), threads)
+    pool = pool.reshape(-1, net.descriptor_dim)
+    target = load_dataset(target_path, split)
+    target_desc = build_match_index(net, target, threads)
     object_ids = [bag.object_id for bag in target.bags]
     rows = []
     for k in cfg["retrieval"]["k_list"]:
@@ -265,14 +280,24 @@ def cmd_eval_vlad(cfg: dict, out_dir: Path, data_dir: Path, model_path: Path, sp
     _write_manifest(out_dir, f"manifest_eval_vlad_{split}.json", cfg, {"split": split, "rows": rows})
 
 
-def cmd_sweep_tau(cfg: dict, out_dir: Path, data_dir: Path, model_path: Path, split: str) -> None:
+def cmd_sweep_tau(
+    cfg: dict, out_dir: Path, data_dir: Path, model_path: Path, split: str, threads: int
+) -> None:
     net = load_net(model_path)
     dataset = load_dataset(data_dir / f"{split}.bags", split)
-    best_tau, rows = sweep_tau(dataset, net, cfg["retrieval"]["tau_grid"])
+    best_tau, rows = sweep_tau(dataset, net, cfg["retrieval"]["tau_grid"], threads)
     write_score_rows(out_dir / f"sweep_{split}.csv", ["tau", "NN", "FT", "ST"], rows)
     _write_manifest(
         out_dir, f"manifest_sweep_{split}.json", cfg, {"split": split, "best_tau": best_tau}
     )
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, otherwise every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,7 +307,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", type=Path, default=None, help="JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+    parser.add_argument(
+        "--threads",
+        type=int,
+        default=_usable_cpus(),
+        help="worker threads for training batches, validation, and describing bags in "
+        "eval-match, eval-vlad and sweep-tau; gen-data, k-means and ranking run on one "
+        "thread, and results do not depend on the count. Pin BLAS to one thread "
+        "(OPENBLAS_NUM_THREADS=1) when using several (default: the CPUs this process "
+        "may use, %(default)s)",
+    )
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("gen-data", help="generate train/val/test bag datasets")
@@ -325,11 +359,11 @@ def main(argv=None) -> int:
             if not model_path.exists():
                 raise FileNotFoundError(f"missing model file {model_path}")
             if args.command == "eval-match":
-                cmd_eval_match(cfg, out_dir, data_dir, model_path, args.split)
+                cmd_eval_match(cfg, out_dir, data_dir, model_path, args.split, args.threads)
             elif args.command == "eval-vlad":
-                cmd_eval_vlad(cfg, out_dir, data_dir, model_path, args.split)
+                cmd_eval_vlad(cfg, out_dir, data_dir, model_path, args.split, args.threads)
             else:
-                cmd_sweep_tau(cfg, out_dir, data_dir, model_path, args.split)
+                cmd_sweep_tau(cfg, out_dir, data_dir, model_path, args.split, args.threads)
     except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,6 +11,7 @@ checking.
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -38,6 +39,7 @@ __all__ = [
     "forward",
     "forward_bag",
     "describe",
+    "describe_bags",
     "save_net",
     "load_net",
 ]
@@ -122,9 +124,10 @@ def init_net(seed: int, channels=FULL_CHANNELS,
 def forward(net: DescriptorNet, patch) -> Tensor:
     """Descriptor of one patch ([3,32,32]) or a stack of patches ([B,3,32,32]).
 
-    Returns a graph-bearing Tensor of shape [descriptor_dim] (or
-    [B, descriptor_dim]); every row has unit norm. Raises
-    DegenerateInputError when the pre-normalization output vanishes.
+    Returns a Tensor of shape [descriptor_dim] (or [B, descriptor_dim]),
+    with a gradient graph when the net's parameters require a gradient;
+    every row has unit norm. Raises DegenerateInputError when the
+    pre-normalization output vanishes.
     """
     pixels = np.asarray(patch, dtype=np.float64)
     if pixels.shape != PATCH_SHAPE and pixels.shape[1:] != PATCH_SHAPE:
@@ -150,16 +153,34 @@ def forward_bag(net: DescriptorNet, pixels: np.ndarray) -> Tensor:
 def describe(net: DescriptorNet, pixels: np.ndarray) -> np.ndarray:
     """Inference-only descriptors for [B,3,32,32] pixels (no gradient graph).
 
-    Streams in chunks of DESCRIBE_CHUNK so large evaluation batches keep a
-    small footprint. Produces the same values as `forward` on each chunk.
+    Runs `forward` over leaf Tensors of its own that share the net's arrays
+    and take no gradient, so no op records a graph and each activation is
+    freed once the next layer has read it. Streams in chunks of
+    DESCRIBE_CHUNK so large evaluation batches keep a small footprint.
+    Produces the same values as `forward` on each chunk.
     """
     stack = np.asarray(pixels, dtype=np.float64)
     if stack.ndim != 4 or stack.shape[1:] != PATCH_SHAPE:
         raise ShapeError(f"expected [B,3,32,32] pixels, got {stack.shape}")
+    frozen = DescriptorNet(
+        {name: Tensor(p.data, requires_grad=False) for name, p in net.params.items()},
+        net.channels,
+        net.descriptor_dim,
+    )
     pieces = []
     for start in range(0, stack.shape[0], DESCRIBE_CHUNK):
-        pieces.append(forward(net, stack[start : start + DESCRIBE_CHUNK]).data)
+        pieces.append(forward(frozen, stack[start : start + DESCRIBE_CHUNK]).data)
     return np.concatenate(pieces)
+
+
+def describe_bags(net: DescriptorNet, stacks, threads: int = 1) -> list[np.ndarray]:
+    """`describe` of each pixel stack, one stack per task on `threads` workers.
+
+    Every stack is described alone, so the result is the same, bit for bit,
+    at any thread count.
+    """
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(lambda stack: describe(net, stack), stacks))
 
 
 def save_net(net: DescriptorNet, path) -> None:
@@ -180,30 +201,27 @@ def save_net(net: DescriptorNet, path) -> None:
 def load_net(path) -> DescriptorNet:
     """Read a model file back; rejects wrong magic, shapes, count, or values."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(MODEL_MAGIC))
-        if magic != MODEL_MAGIC:
-            raise IntegrityError(f"bad magic {magic!r}")
-        header_line = b""
-        while not header_line.endswith(b"\n"):
-            ch = fh.read(1)
-            if not ch:
-                raise IntegrityError("truncated header")
-            header_line += ch
-        try:
-            header = json.loads(header_line.decode("ascii"))
-            shapes = [tuple(s) for s in header["shapes"]]
-            count = header["count"]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise IntegrityError(f"malformed header: {exc}") from exc
-        # The conv and fc output widths in the header fix every other shape.
-        widths = [s[0] for s in shapes[::2] if s and type(s[0]) is int and s[0] > 0]
-        expected = _layer_shapes(widths[:-1], widths[-1]) if len(widths) == 5 else None
-        if shapes != expected:
-            raise ShapeError(f"layer shapes {shapes} do not match the expected architecture")
-        total = sum(int(np.prod(shape)) for shape in expected)
-        if type(count) is not int or count != total:
-            raise ShapeError(f"parameter count {count!r} != {total}")
-        payload = fh.read()
+        raw = fh.read()
+    if raw[: len(MODEL_MAGIC)] != MODEL_MAGIC:
+        raise IntegrityError(f"bad magic {raw[: len(MODEL_MAGIC)]!r}")
+    newline = raw.find(b"\n", len(MODEL_MAGIC))
+    if newline < 0:
+        raise IntegrityError("truncated header")
+    try:
+        header = json.loads(raw[len(MODEL_MAGIC) : newline].decode("ascii"))
+        shapes = [tuple(s) for s in header["shapes"]]
+        count = header["count"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise IntegrityError(f"malformed header: {exc}") from exc
+    # The conv and fc output widths in the header fix every other shape.
+    widths = [s[0] for s in shapes[::2] if s and type(s[0]) is int and s[0] > 0]
+    expected = _layer_shapes(widths[:-1], widths[-1]) if len(widths) == 5 else None
+    if shapes != expected:
+        raise ShapeError(f"layer shapes {shapes} do not match the expected architecture")
+    total = sum(int(np.prod(shape)) for shape in expected)
+    if type(count) is not int or count != total:
+        raise ShapeError(f"parameter count {count!r} != {total}")
+    payload = raw[newline + 1 :]
     if len(payload) != 4 * count:
         raise IntegrityError(
             f"parameter payload has {len(payload)} bytes, expected {4 * count}"

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import BagDataset
 from .matching import ROW_NORM_TOL, GramPair, hard_match_score
-from .net import DescriptorNet, describe
+from .net import DescriptorNet, describe_bags
 # Unused here, but perfbench/tracer.py wraps this name in this module.
 from .net import forward_bag  # noqa: F401
 
@@ -65,9 +65,10 @@ class VladCodebook:
         return self.centroids.shape[0]
 
 
-def build_match_index(net: DescriptorNet, dataset: BagDataset) -> np.ndarray:
-    """[B, n, d] descriptors of every bag, in dataset order."""
-    return np.stack([describe(net, bag.pixels) for bag in dataset.bags])
+def build_match_index(net: DescriptorNet, dataset: BagDataset, threads: int = 1) -> np.ndarray:
+    """[B, n, d] descriptors of every bag, in dataset order, described on
+    `threads` workers."""
+    return np.stack(describe_bags(net, [bag.pixels for bag in dataset.bags], threads))
 
 
 def _ranked(scores, exclude: int | None = None) -> list[tuple[int, float]]:
@@ -151,18 +152,21 @@ def sweep_tau(
     dataset: BagDataset,
     net: DescriptorNet,
     tau_grid=None,
+    threads: int = 1,
 ) -> tuple[float, list[tuple[float, float, float, float]]]:
     """Evaluate every threshold on the grid; best by NN, then FT, then
-    smallest tau. Returns (best_tau, [(tau, NN, FT, ST), ...])."""
+    smallest tau. Bags are described on `threads` workers. Returns
+    (best_tau, [(tau, NN, FT, ST), ...])."""
     grid = default_tau_grid() if tau_grid is None else np.asarray(tau_grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("tau grid must not be empty")
     if np.any(grid <= 0.0) or np.any(grid >= 4.0):
         raise ValueError("tau grid values must lie in (0, 4)")
     object_ids = [bag.object_id for bag in dataset.bags]
+    descs = build_match_index(net, dataset, threads)
     rows = [
         (float(tau), *rank_and_score(scores, object_ids))
-        for tau, scores in zip(grid, hard_score_matrix(build_match_index(net, dataset), grid))
+        for tau, scores in zip(grid, hard_score_matrix(descs, grid))
     ]
     return max(rows, key=lambda row: (row[1], row[2], -row[0]))[0], rows
 

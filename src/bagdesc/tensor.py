@@ -2,9 +2,12 @@
 
 Implements exactly the differentiable operations the descriptor network and
 the bag-matching score need: valid cross-correlation, ReLU, 2x2 max pooling,
-an affine map, and row-wise L2 normalization. Every operation records a
-closure that scatters the output gradient back into its inputs, so a scalar
-computed from Tensors can be differentiated with `Tensor.backward()`.
+an affine map, and row-wise L2 normalization. An operation with an input
+that requires a gradient records a closure that scatters the output
+gradient back into its inputs, so a scalar computed from Tensors can be
+differentiated with `Tensor.backward()`. Over inputs that all have
+`requires_grad=False` it records nothing, and its output holds no
+reference to them.
 
 Leaf Tensors (parameters and inputs) add every backward pass into `grad`;
 interior nodes are freed as the walk passes them, so a graph is
@@ -20,8 +23,8 @@ this one, so every window it copies is a contiguous run of B values.
 conv2d lowers a few output rows at a time: it copies their windows into one
 column buffer and multiplies that block into its rows of the output. Its
 backward rebuilds each block's columns from the saved input instead of
-keeping them, so an activation's `data` must not be mutated between forward
-and backward.
+keeping them, and relu and maxpool2x2 find their routing masks in backward,
+so an activation's `data` must not be mutated between forward and backward.
 """
 
 from __future__ import annotations
@@ -62,8 +65,9 @@ class DegenerateInputError(ValueError):
 class Tensor:
     """A dense float64 array with an optional accumulated gradient.
 
-    Tensors form a DAG: operations attach the producing closure and parent
-    references to their output, and `backward` replays the closures in
+    Tensors form a DAG: an operation over an input that requires a gradient
+    attaches its closure and parent references to its output (which then
+    requires a gradient too), and `backward` replays the closures in
     reverse topological order, adding into each parent's `grad`. Only a
     leaf (a Tensor no operation produced) keeps its `grad` afterwards.
     """
@@ -147,6 +151,14 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"
+
+
+def _node(out: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+    """An op's output; it keeps `parents` and `backward_fn` only when one of
+    the parents requires a gradient."""
+    if any(p.requires_grad for p in parents):
+        return Tensor(out, parents, backward_fn)
+    return Tensor(out, requires_grad=False)
 
 
 def _finite_or_raise(arr: np.ndarray, what: str) -> None:
@@ -250,17 +262,16 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
             dx = dxs.transpose(3, 0, 1, 2)
             x.accumulate_grad(dx[0] if squeeze else dx)
 
-    return Tensor(out[0] if squeeze else out, (x, weights, bias), backward_fn)
+    return _node(out[0] if squeeze else out, (x, weights, bias), backward_fn)
 
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x), NaN kept; gradient is zero where x <= 0 or NaN."""
-    mask = x.data > 0
 
     def backward_fn(grad: np.ndarray) -> None:
-        x.accumulate_grad(grad * mask)
+        x.accumulate_grad(grad * (x.data > 0))
 
-    return Tensor(np.maximum(x.data, 0.0), (x,), backward_fn)
+    return _node(np.maximum(x.data, 0.0), (x,), backward_fn)
 
 
 def maxpool2x2(x: Tensor) -> Tensor:
@@ -275,15 +286,15 @@ def maxpool2x2(x: Tensor) -> Tensor:
         raise ShapeError(f"maxpool2x2 requires even spatial extents, got {h}x{w}")
     xs = xd.transpose(1, 2, 3, 0)
     corners = [xs[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]
-    out = np.maximum(np.maximum(np.maximum(corners[0], corners[1]), corners[2]), corners[3])
-    # The argmax is the number of leading corners that miss the maximum; a
-    # NaN corner never misses, and a NaN maximum is missed by every number.
-    misses = [(corner != out) & (corner == corner) for corner in corners[:3]]
-    misses[1] &= misses[0]
-    misses[2] &= misses[1]
-    idx = sum(m.view(np.int8) for m in misses)
+    peak = np.maximum(np.maximum(np.maximum(corners[0], corners[1]), corners[2]), corners[3])
 
     def backward_fn(grad: np.ndarray) -> None:
+        # The argmax is the number of leading corners that miss the maximum; a
+        # NaN corner never misses, and a NaN maximum is missed by every number.
+        misses = [(corner != peak) & (corner == corner) for corner in corners[:3]]
+        misses[1] &= misses[0]
+        misses[2] &= misses[1]
+        idx = sum(m.view(np.int8) for m in misses)
         g = grad[None] if squeeze else grad
         gs = g.transpose(1, 2, 3, 0)
         dxs = np.empty((c, h, w, b), dtype=np.float64)
@@ -292,8 +303,8 @@ def maxpool2x2(x: Tensor) -> Tensor:
         dx = dxs.transpose(3, 0, 1, 2)
         x.accumulate_grad(dx[0] if squeeze else dx)
 
-    out = out.transpose(3, 0, 1, 2)
-    return Tensor(out[0] if squeeze else out, (x,), backward_fn)
+    out = peak.transpose(3, 0, 1, 2)
+    return _node(out[0] if squeeze else out, (x,), backward_fn)
 
 
 def affine(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
@@ -315,7 +326,7 @@ def affine(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
         dx = g @ weights.data
         x.accumulate_grad(dx[0] if squeeze else dx)
 
-    return Tensor(out[0] if squeeze else out, (x, weights, bias), backward_fn)
+    return _node(out[0] if squeeze else out, (x, weights, bias), backward_fn)
 
 
 def l2_normalize(x: Tensor) -> Tensor:
@@ -338,7 +349,7 @@ def l2_normalize(x: Tensor) -> Tensor:
         dx = (g - y * np.sum(y * g, axis=1, keepdims=True)) / norms[:, None]
         x.accumulate_grad(dx[0] if squeeze else dx)
 
-    return Tensor(y[0] if squeeze else y, (x,), backward_fn)
+    return _node(y[0] if squeeze else y, (x,), backward_fn)
 
 
 def flatten(x: Tensor) -> Tensor:
@@ -353,7 +364,7 @@ def flatten(x: Tensor) -> Tensor:
         dx[...] = g.reshape(xd.shape)
         x.accumulate_grad(dx[0] if squeeze else dx)
 
-    return Tensor(out[0] if squeeze else out, (x,), backward_fn)
+    return _node(out[0] if squeeze else out, (x,), backward_fn)
 
 
 def sum_squares(x: Tensor) -> Tensor:
@@ -363,7 +374,7 @@ def sum_squares(x: Tensor) -> Tensor:
     def backward_fn(grad: np.ndarray) -> None:
         x.accumulate_grad(2.0 * float(grad) * x.data)
 
-    return Tensor(out, (x,), backward_fn)
+    return _node(out, (x,), backward_fn)
 
 
 def finite_diff_gradcheck(

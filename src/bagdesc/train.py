@@ -18,8 +18,10 @@ import numpy as np
 
 from .data import BagDataset, BagTriplet, sample_triplet
 from .matching import GramPair, MatchConfig, soft_match_backward, soft_match_score
-from .net import DescriptorNet, describe, forward_bag, init_net
+from .net import DescriptorNet, describe_bags, forward_bag, init_net
 from .tensor import Tensor
+# Unused here, but perfbench/tracer.py wraps this name in this module.
+from .net import describe  # noqa: F401
 
 __all__ = [
     "TrainConfig",
@@ -210,8 +212,7 @@ def validate(
             keyed.setdefault((bag.object_id, bag.view_id), bag)
     keys = sorted(keyed)
     pixels = [keyed[key].pixel_stack() for key in keys]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        descs = dict(zip(keys, pool.map(lambda stack: describe(net, stack), pixels)))
+    descs = dict(zip(keys, describe_bags(net, pixels, threads)))
     losses = []
     for t in valset:
         pair_pos = GramPair(

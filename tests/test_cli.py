@@ -2,11 +2,12 @@
 
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
-from bagdesc.cli import main, resolve_config, ConfigError
+from bagdesc.cli import build_parser, main, resolve_config, ConfigError
 from bagdesc.data import load_dataset
 from bagdesc.net import init_net, load_net, save_net
 
@@ -206,22 +207,25 @@ EVAL_DIGESTS = {
 
 
 def test_eval_outputs_are_pinned(tmp_path):
+    """The pinned bytes hold on one worker thread and on two."""
     cfg = write_config(tmp_path, EVAL_OVERRIDES)
     data = tmp_path / "data"
     assert main(["--config", str(cfg), "--out", str(data), "gen-data"]) == 0
     model = tmp_path / "init.net"
     save_net(init_net(0), model)
-    digests = {}
-    for command in ("eval-match", "eval-vlad", "sweep-tau"):
-        for split in ("test", "val"):
-            run = tmp_path / f"{command}_{split}"
-            assert main(
-                ["--config", str(cfg), "--out", str(run), command,
-                 "--data", str(data), "--model", str(model), "--split", split]
-            ) == 0
-            for path in sorted(run.glob("*.csv")):
-                digests[f"{run.name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digests == EVAL_DIGESTS
+    for threads in ("1", "2"):
+        digests = {}
+        for command in ("eval-match", "eval-vlad", "sweep-tau"):
+            for split in ("test", "val"):
+                run = tmp_path / f"threads{threads}" / f"{command}_{split}"
+                assert main(
+                    ["--config", str(cfg), "--out", str(run), "--threads", threads, command,
+                     "--data", str(data), "--model", str(model), "--split", split]
+                ) == 0
+                for path in sorted(run.glob("*.csv")):
+                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                    digests[f"{run.name}/{path.name}"] = digest
+        assert digests == EVAL_DIGESTS, f"--threads {threads}"
 
 
 def test_vlad_dim_k_list_248(generated, tmp_path):
@@ -248,6 +252,17 @@ def test_invalid_config_fails_before_writing(tmp_path):
         cfg = write_config(tmp_path, {"data": {"patch_radius": radius}})
         assert main(["--config", str(cfg), "--out", str(out), "gen-data"]) == 1
         assert not any(out.glob("*.bags"))
+
+
+def test_threads_default_to_the_usable_cpus(tmp_path):
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:
+        usable = os.cpu_count()
+    assert build_parser().parse_args(["gen-data"]).threads == usable
+    out = tmp_path / "out"
+    assert main(["--threads", "0", "--out", str(out), "gen-data"]) == 1
+    assert not out.exists()
 
 
 def test_missing_model_is_an_error(generated, tmp_path):

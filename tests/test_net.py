@@ -1,6 +1,7 @@
 """Descriptor network: shapes, parameter count, serialization, gradients."""
 
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from bagdesc.net import (
     IntegrityError,
     REDUCED_CHANNELS,
     REDUCED_DESCRIPTOR_DIM,
+    DescriptorNet,
     describe,
     forward,
     forward_bag,
@@ -140,6 +142,52 @@ def test_describe_matches_forward():
     assert np.max(np.abs(a - b)) < 1e-12
 
 
+def test_forward_over_frozen_leaves_records_no_graph():
+    net = init_net(4, channels=REDUCED_CHANNELS, descriptor_dim=REDUCED_DESCRIPTOR_DIM)
+    frozen = DescriptorNet(
+        {name: Tensor(p.data, requires_grad=False) for name, p in net.params.items()},
+        net.channels,
+        net.descriptor_dim,
+    )
+    stack = np.random.default_rng(9).uniform(0, 1, (5, 3, 32, 32))
+    out = forward(frozen, stack)
+    assert out._backward_fn is None
+    assert out._parents == ()
+    assert not out.requires_grad
+    assert np.array_equal(out.data, forward(net, stack).data)
+    assert np.array_equal(describe(net, stack), out.data)
+
+
+def test_describe_memory_peak():
+    """Describing one full-width 32-patch bag keeps no activation alive
+    after the next layer has read it.
+
+    The traced peak is about 14.7 MB: conv1's output and its ReLU, 7.4 MB
+    each, while both exist. A forward that records its graph keeps every
+    activation and the convolutions' saved inputs, about 30 MB.
+    """
+    net = init_net(0)
+    pixels = np.random.default_rng(19).uniform(0.0, 1.0, (32, 3, 32, 32))
+    tracemalloc.start()
+    try:
+        describe(net, pixels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 22e6
+
+
+def test_load_rejects_header_without_newline_quickly(tmp_path):
+    """A corrupt file with no header newline is rejected after one read,
+    not one byte at a time."""
+    path = tmp_path / "no_newline.net"
+    path.write_bytes(MODEL_MAGIC + b"{" * 4_000_000)
+    start = time.perf_counter()
+    with pytest.raises(IntegrityError, match="truncated header"):
+        load_net(path)
+    assert time.perf_counter() - start < 5.0
+
+
 def test_save_load_round_trip(tmp_path):
     net = init_net(11)
     path = tmp_path / "model.net"
@@ -260,7 +308,7 @@ def test_full_width_forward_backward_memory_peak():
     """One 96-patch forward and backward holds no convolution column matrix
     and frees each activation gradient once its node's backward has run.
 
-    The traced peak is about 133 MB. Activation gradients kept until the
+    The traced peak is about 127 MB. Activation gradients kept until the
     graph is dropped raise it to about 180 MB, and a stored
     [C*kh*kw, Ho*Wo*B] matrix per convolution (77 MB at conv2, 64 MB at
     conv3) to about 350.

@@ -237,6 +237,17 @@ def test_sweep_tau_single_value_and_tie_rule():
         sweep_tau(ds, net, [5.0])
 
 
+def test_describing_on_two_threads_matches_one():
+    rng = np.random.default_rng(13)
+    bags = [PatchBag(k // 2, k % 2, rng.uniform(0, 1, (5, 3, 32, 32))) for k in range(6)]
+    ds = BagDataset(bags, 5)
+    net = init_net(2)
+    one = build_match_index(net, ds, threads=1)
+    assert np.array_equal(build_match_index(net, ds, threads=2), one)
+    grid = [0.02, 0.05, 0.1]
+    assert sweep_tau(ds, net, grid, threads=2) == sweep_tau(ds, net, grid, threads=1)
+
+
 def test_kmeans_k_equals_m():
     points = RNG.normal(size=(6, 3))
     codebook = kmeans(points, 6, seed=0)

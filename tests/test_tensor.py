@@ -439,6 +439,32 @@ def test_gradients_accumulate_across_backward_calls():
     assert np.allclose(w.grad, 2.0 * single.grad)
 
 
+def test_ops_over_inputs_without_gradient_record_no_graph():
+    def frozen(*shape):
+        return Tensor(RNG.normal(size=shape), requires_grad=False)
+
+    x = frozen(2, 3, 8, 8)
+    conv = conv2d(x, frozen(4, 3, 3, 3), frozen(4), stride=1)
+    flat = flatten(conv)
+    outputs = [
+        conv,
+        relu(conv),
+        maxpool2x2(conv),
+        flat,
+        affine(flat, frozen(5, flat.shape[1]), frozen(5)),
+        l2_normalize(flat),
+        sum_squares(conv),
+    ]
+    for out in outputs:
+        assert out._backward_fn is None
+        assert out._parents == ()
+        assert not out.requires_grad
+    # One input that takes a gradient is enough for the op to record itself.
+    tracked = conv2d(x, Tensor(RNG.normal(size=(4, 3, 3, 3))), frozen(4), stride=1)
+    assert tracked.requires_grad and tracked._backward_fn is not None
+    assert relu(tracked)._parents == (tracked,)
+
+
 def test_outputs_finite_on_finite_inputs():
     x = Tensor(RNG.normal(size=(2, 10, 10)) * 100)
     w = Tensor(RNG.normal(size=(3, 2, 3, 3)) * 100)

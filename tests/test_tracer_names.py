@@ -113,7 +113,8 @@ def test_traced_build_dataset_records_the_data_layer(tracer_module):
 
 def test_traced_eval_records_the_retrieval_layer(tracer_module, tmp_path):
     """eval's per-layer metrics rest on these wrapped names, and every bag
-    of the tuning and target splits is described once per command."""
+    of the tuning and target splits is described once per command, on two
+    worker threads."""
     from bagdesc.data import load_dataset
 
     cli = tracer_module.MODULES["cli"]
@@ -130,13 +131,17 @@ def test_traced_eval_records_the_retrieval_layer(tracer_module, tmp_path):
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
-        assert cli.main(base + ["eval-match"]) == 0
-        assert cli.main(base + ["eval-vlad"]) == 0
+        assert cli.main(base + ["--threads", "2", "eval-match"]) == 0
+        assert cli.main(base + ["--threads", "2", "eval-vlad"]) == 0
     finally:
         tracer.uninstall()
     names = {span[1] for span in tracer.spans}
     assert {"retrieval.index", "retrieval.sweep_tau", "retrieval.kmeans",
             "retrieval.vlad_encode"} <= names
+    # Each worker numbers the convolutions of its own forward passes.
+    forwards = [span[1] for span in tracer.spans].count("net.forward")
+    for layer in range(1, tracer_module.CONV_LAYERS + 1):
+        assert [span[1] for span in tracer.spans].count(f"tensor.conv{layer}.fwd") == forwards
     patches = sum(
         bag.n for split in ("val", "test")
         for bag in load_dataset(tmp_path / f"{split}.bags", split).bags
