@@ -57,10 +57,11 @@ def main():
         triplets_per_round=150,
         rounds=6,
         patience=2,
+        val_triplets=48,
         seed=0,
     )
     print("\ntraining (6 rounds x 12 iterations, batch 8) ...")
-    net, curves = train(trainset, valset, cfg, val_triplets=48)
+    net, curves = train(trainset, valset, cfg)
     for r in curves:
         print(f"  round {r.round_index}: train {r.train_loss:.4f}  val {r.val_loss:.4f}  lr {r.lr:.6f}")
 

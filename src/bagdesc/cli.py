@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,11 @@ class ConfigError(ValueError):
     """A run configuration that violates the schema."""
 
 
+def _field_defaults(config_class, *skip: str) -> dict:
+    """A config dataclass's field defaults, the config file's section for it."""
+    return {f.name: f.default for f in fields(config_class) if f.name not in skip}
+
+
 DEFAULT_CONFIG = {
     "seed": 0,
     "data": {
@@ -57,18 +63,9 @@ DEFAULT_CONFIG = {
         "train_fraction": 0.7,
         "val_fraction": 0.15,
     },
-    "match": {"tau": 0.8, "beta": 20.0, "epsilon": 1e-6},
-    "train": {
-        "lr0": 0.001,
-        "batch_size": 32,
-        "iters_per_round": 512,
-        "triplets_per_round": 5000,
-        "rounds": 128,
-        "patience": 5,
-        "rmsprop_decay": 0.9,
-        "rmsprop_eps": 1e-8,
-        "val_triplets": 128,
-    },
+    "match": _field_defaults(MatchConfig),
+    # The CLI sets `match` from its own section and `seed` from the master seed.
+    "train": _field_defaults(TrainConfig, "match", "seed"),
     "retrieval": {"tau_grid": None, "k_list": [2, 4, 8], "kmeans_iters": 100},
 }
 
@@ -153,19 +150,16 @@ def _split_counts(data_cfg: dict) -> dict:
 
 
 def _match_config(cfg: dict) -> MatchConfig:
-    m = cfg["match"]
     try:
-        return MatchConfig(tau=m["tau"], beta=m["beta"], epsilon=m["epsilon"])
+        return MatchConfig(**cfg["match"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _train_config(cfg: dict) -> TrainConfig:
-    t = dict(cfg["train"])
-    t.pop("val_triplets")
     train_seed = int(split_seed(cfg["seed"])[1].generate_state(1)[0])
     try:
-        return TrainConfig(match=_match_config(cfg), seed=train_seed, **t)
+        return TrainConfig(match=_match_config(cfg), seed=train_seed, **cfg["train"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -215,10 +209,7 @@ def cmd_train(cfg: dict, out_dir: Path, data_dir: Path, threads: int) -> None:
     train_path, val_path = _dataset_paths(data_dir, "train", "val")
     trainset = load_dataset(train_path, "train")
     valset = load_dataset(val_path, "val")
-    tcfg = _train_config(cfg)
-    net, curves = train(
-        trainset, valset, tcfg, threads=threads, val_triplets=cfg["train"]["val_triplets"]
-    )
+    net, curves = train(trainset, valset, _train_config(cfg), threads=threads)
     save_net(net, out_dir / "model.net")
     write_score_rows(
         out_dir / "curves.csv",
@@ -243,9 +234,12 @@ def cmd_eval_match(
     best_tau, sweep_rows = sweep_tau(
         load_dataset(val_path, "val"), net, cfg["retrieval"]["tau_grid"], threads
     )
-    target = load_dataset(target_path, split)
-    scores = hard_score_matrix(build_match_index(net, target, threads), [best_tau])[0]
-    nn, ft, st = rank_and_score(scores, [bag.object_id for bag in target.bags])
+    if split == "val":  # the sweep has scored val at best_tau already
+        _, nn, ft, st = next(row for row in sweep_rows if row[0] == best_tau)
+    else:
+        target = load_dataset(target_path, split)
+        scores = hard_score_matrix(build_match_index(net, target, threads), [best_tau])[0]
+        nn, ft, st = rank_and_score(scores, [bag.object_id for bag in target.bags])
     write_score_rows(out_dir / "sweep_val.csv", ["tau", "NN", "FT", "ST"], sweep_rows)
     write_score_rows(
         out_dir / f"eval_match_{split}.csv", ["tau", "NN", "FT", "ST"], [(best_tau, nn, ft, st)]

@@ -405,18 +405,6 @@ def _arc_min_scores(margins: np.ndarray) -> np.ndarray:
     return best
 
 
-def _shifted(grid: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    """grid translated so out[y, x] = grid[y+dy, x+dx], -inf off the edge."""
-    h, w = grid.shape
-    out = np.full_like(grid, -np.inf)
-    ys = slice(max(0, -dy), min(h, h - dy))
-    xs = slice(max(0, -dx), min(w, w - dx))
-    ys_src = slice(max(0, dy), min(h, h + dy))
-    xs_src = slice(max(0, dx), min(w, w + dx))
-    out[ys, xs] = grid[ys_src, xs_src]
-    return out
-
-
 def fast_detect(pixels, intensity_threshold: float, max_keypoints: int) -> list[tuple[int, int, float]]:
     """Segment-test corners of a [C,H,W] or [H,W] image: (x, y, score), strongest first.
 
@@ -439,15 +427,18 @@ def fast_detect(pixels, intensity_threshold: float, max_keypoints: int) -> list[
     dark = (center - intensity_threshold) - circle
     interior_score = np.maximum(_arc_min_scores(bright), _arc_min_scores(dark))
 
+    # The segment test cannot reach the 3-px rim, which stays -inf and so
+    # pads every neighbour that the non-maximum suppression reads.
     score = np.full((h, w), -np.inf)
     score[3 : h - 3, 3 : w - 3] = interior_score
-    keep = score > 0.0
+    keep = interior_score > 0.0
     for dy, dx in _EARLIER_NEIGHBORS:
-        keep &= score > _shifted(score, dy, dx)
+        keep &= interior_score > score[3 + dy : h - 3 + dy, 3 + dx : w - 3 + dx]
     for dy, dx in _LATER_NEIGHBORS:
-        keep &= score >= _shifted(score, dy, dx)
+        keep &= interior_score >= score[3 + dy : h - 3 + dy, 3 + dx : w - 3 + dx]
     ys, xs = np.nonzero(keep)
-    scores = score[ys, xs]
+    scores = interior_score[ys, xs]
+    ys, xs = ys + 3, xs + 3
     order = np.lexsort((xs, ys, -scores))
     order = order[:max_keypoints]
     return [(int(xs[i]), int(ys[i]), float(scores[i])) for i in order]
@@ -531,6 +522,8 @@ def build_dataset(
         raise DataError("need at least 1 object and 2 views per object")
     if patch_radius < 1:
         raise DataError(f"patch radius must be at least 1, got {patch_radius}")
+    if not 1 <= bag_size <= max_keypoints:
+        raise DataError(f"bag size must lie in [1, max_keypoints={max_keypoints}], got {bag_size}")
     bags: list[PatchBag] = []
     for index in range(num_objects):
         object_id = first_object_id + index

@@ -87,14 +87,6 @@ class Tensor:
         self._parents = parents
         self._backward_fn = backward_fn
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def accumulate_grad(self, g: np.ndarray) -> None:
         """Add `g` into `grad`; the first `g` becomes `grad` itself.
 

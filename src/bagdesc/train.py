@@ -38,7 +38,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer and round-structure constants."""
+    """Optimizer, round-structure and validation-list constants."""
 
     match: MatchConfig = field(default_factory=MatchConfig)
     lr0: float = 0.001
@@ -49,13 +49,16 @@ class TrainConfig:
     patience: int = 5
     rmsprop_decay: float = 0.9
     rmsprop_eps: float = 1e-8
+    val_triplets: int = 128
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.lr0 < np.inf:
             raise ValueError(f"lr0 must be positive and finite, got {self.lr0}")
-        if min(self.batch_size, self.triplets_per_round, self.rounds) < 1:
-            raise ValueError("batch_size, triplets_per_round and rounds must be positive")
+        if min(self.batch_size, self.triplets_per_round, self.rounds, self.val_triplets) < 1:
+            raise ValueError(
+                "batch_size, triplets_per_round, rounds and val_triplets must be positive"
+            )
         if self.iters_per_round < 0:
             raise ValueError("iters_per_round must be non-negative")
         if self.rounds > 128:
@@ -234,13 +237,12 @@ def train(
     valset: BagDataset,
     cfg: TrainConfig,
     threads: int = 1,
-    val_triplets: int = 128,
 ) -> tuple[DescriptorNet, list[RoundReport]]:
     """Full-width learning run; returns the best-validation snapshot and loss curves.
 
     The master seed splits into independent streams for initialization,
-    round sampling, and the fixed validation triplet list, which is drawn
-    once from `valset`.
+    round sampling, and the fixed list of `cfg.val_triplets` validation
+    triplets, which is drawn once from `valset`.
     """
     if set(valset.object_ids) & set(trainset.object_ids):
         raise ValueError("train and validation object ids must be disjoint")
@@ -250,7 +252,7 @@ def train(
     val_rng = np.random.Generator(np.random.PCG64(validation))
 
     net = init_net(init_seed)
-    val_list = [sample_triplet(valset, val_rng) for _ in range(val_triplets)]
+    val_list = [sample_triplet(valset, val_rng) for _ in range(cfg.val_triplets)]
 
     state: dict = {}
     lr = cfg.lr0

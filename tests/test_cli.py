@@ -7,7 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from bagdesc.cli import build_parser, main, resolve_config, ConfigError
+from bagdesc import net as net_module
+from bagdesc.cli import DEFAULT_CONFIG, build_parser, main, resolve_config, ConfigError
 from bagdesc.data import load_dataset
 from bagdesc.net import init_net, load_net, save_net
 
@@ -59,6 +60,10 @@ def test_resolve_config_rejects_unknown_keys():
         resolve_config({"data": {"objects": 5, "bogus": 1}})
     with pytest.raises(ConfigError, match="unknown"):
         resolve_config({"nonsense": {}})
+    # TrainConfig fields that the CLI fills from the master seed and the match section
+    for key, value in (("seed", 3), ("match", {"tau": 0.5})):
+        with pytest.raises(ConfigError, match="unknown"):
+            resolve_config({"train": {key: value}})
 
 
 def test_resolve_config_rejects_single_object():
@@ -91,6 +96,48 @@ def test_resolve_config_rejects_mistyped_fields(tmp_path, section, key, value):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({section: {key: value}}))
     assert main(["--config", str(path), "--out", str(tmp_path / "out"), "gen-data"]) == 1
+
+
+def test_default_config_is_unchanged():
+    """The match and train sections, now read from MatchConfig and
+    TrainConfig, equal the literal that the CLI once wrote out by hand."""
+    assert DEFAULT_CONFIG == {
+        "seed": 0,
+        "data": {
+            "objects": 50,
+            "views": 4,
+            "bag_size": 32,
+            "image_size": 512,
+            "intensity_threshold": 0.05,
+            "max_keypoints": 75,
+            "patch_radius": 16,
+            "train_fraction": 0.7,
+            "val_fraction": 0.15,
+        },
+        "match": {"tau": 0.8, "beta": 20.0, "epsilon": 1e-6},
+        "train": {
+            "lr0": 0.001,
+            "batch_size": 32,
+            "iters_per_round": 512,
+            "triplets_per_round": 5000,
+            "rounds": 128,
+            "patience": 5,
+            "rmsprop_decay": 0.9,
+            "rmsprop_eps": 1e-8,
+            "val_triplets": 128,
+        },
+        "retrieval": {"tau_grid": None, "k_list": [2, 4, 8], "kmeans_iters": 100},
+    }
+
+
+def test_val_triplets_below_one_fails_before_training(tmp_path):
+    for value in (0, -1):
+        with pytest.raises(ConfigError, match="val_triplets"):
+            resolve_config({"train": {"val_triplets": value}})
+    cfg = write_config(tmp_path, {"train": {"val_triplets": 0}})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "train"]) == 1
+    assert not out.exists()
 
 
 def test_resolve_config_accepts_ints_for_floats_and_rejects_bool_seed():
@@ -226,6 +273,34 @@ def test_eval_outputs_are_pinned(tmp_path):
                     digest = hashlib.sha256(path.read_bytes()).hexdigest()
                     digests[f"{run.name}/{path.name}"] = digest
         assert digests == EVAL_DIGESTS, f"--threads {threads}"
+
+
+def test_eval_match_on_val_describes_val_once(generated, tmp_path, monkeypatch):
+    """On val, the tau sweep's row at the best tau is the result, so no val
+    bag is described a second time; another split is described once more."""
+    out, cfg = generated
+    model = tmp_path / "init.net"
+    save_net(init_net(0), model)
+    described = []
+    real_describe = net_module.describe
+
+    def counting_describe(net, pixels):
+        described.append(len(pixels))
+        return real_describe(net, pixels)
+
+    monkeypatch.setattr(net_module, "describe", counting_describe)
+    patches = {
+        split: sum(bag.n for bag in load_dataset(out / f"{split}.bags", split).bags)
+        for split in ("val", "test")
+    }
+    for split, expected in (("val", patches["val"]), ("test", patches["val"] + patches["test"])):
+        described.clear()
+        run = tmp_path / split
+        assert main(
+            ["--config", str(cfg), "--out", str(run), "eval-match",
+             "--data", str(out), "--model", str(model), "--split", split]
+        ) == 0
+        assert sum(described) == expected, split
 
 
 def test_vlad_dim_k_list_248(generated, tmp_path):

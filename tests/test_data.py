@@ -299,6 +299,9 @@ def test_build_dataset_rejects_bad_radius_before_rendering(monkeypatch):
     for radius in (0, -4):
         with pytest.raises(DataError, match="radius"):
             build_dataset(1, 2, 4, 0, image_size=256, patch_radius=radius)
+    for bag_size in (0, 9):
+        with pytest.raises(DataError, match="bag size"):
+            build_dataset(1, 2, bag_size, 0, image_size=256, max_keypoints=8, patch_radius=8)
     assert renders == []
 
 

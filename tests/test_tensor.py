@@ -451,7 +451,7 @@ def test_ops_over_inputs_without_gradient_record_no_graph():
         relu(conv),
         maxpool2x2(conv),
         flat,
-        affine(flat, frozen(5, flat.shape[1]), frozen(5)),
+        affine(flat, frozen(5, flat.data.shape[1]), frozen(5)),
         l2_normalize(flat),
         sum_squares(conv),
     ]

@@ -63,6 +63,8 @@ def test_train_config_validation():
         dict(patience=0),
         dict(rmsprop_decay=1.0),
         dict(batch_size=64, triplets_per_round=32),
+        dict(val_triplets=0),
+        dict(val_triplets=-1),
     ):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
@@ -224,6 +226,7 @@ def _quick_cfg(**overrides):
         triplets_per_round=8,
         rounds=3,
         patience=1,
+        val_triplets=4,
         seed=5,
     )
     base.update(overrides)
@@ -236,7 +239,7 @@ def test_train_curves_and_patience_halving():
     # zero iterations: loss can never improve after round 0, so patience=1
     # halves the rate before each subsequent round
     cfg = _quick_cfg(iters_per_round=0, rounds=3)
-    net, curves = train(trainset, valset, cfg, val_triplets=4)
+    net, curves = train(trainset, valset, cfg)
     assert len(curves) == 3
     assert [r.lr for r in curves] == [0.001, 0.001, 0.0005]
     assert curves[0].val_loss == curves[1].val_loss == curves[2].val_loss
@@ -246,8 +249,8 @@ def test_train_is_deterministic():
     trainset = make_dataset(seed=3)
     valset = make_dataset(num_objects=2, seed=4, first_object_id=50)
     cfg = _quick_cfg()
-    net_a, curves_a = train(trainset, valset, cfg, val_triplets=4)
-    net_b, curves_b = train(trainset, valset, cfg, val_triplets=4)
+    net_a, curves_a = train(trainset, valset, cfg)
+    net_b, curves_b = train(trainset, valset, cfg)
     for name in net_a.params:
         assert np.array_equal(net_a.params[name].data, net_b.params[name].data)
     assert [(r.train_loss, r.val_loss, r.lr) for r in curves_a] == [
@@ -258,14 +261,14 @@ def test_train_is_deterministic():
 def test_train_rejects_overlapping_splits():
     ds = make_dataset(seed=3)
     with pytest.raises(ValueError, match="disjoint"):
-        train(ds, ds, _quick_cfg(), val_triplets=4)
+        train(ds, ds, _quick_cfg())
 
 
 def test_write_loss_curves(tmp_path):
     trainset = make_dataset(seed=3)
     valset = make_dataset(num_objects=2, seed=4, first_object_id=50)
     cfg = _quick_cfg(rounds=2)
-    _, curves = train(trainset, valset, cfg, val_triplets=4)
+    _, curves = train(trainset, valset, cfg)
     path = tmp_path / "curves.csv"
     header = ["round", "train_loss", "val_loss", "lr"]
     write_score_rows(path, header, [(r.round_index, r.train_loss, r.val_loss, r.lr) for r in curves])
@@ -296,7 +299,7 @@ def test_threaded_batch_matches_single_threaded():
     val = [sample_triplet(ds, rng) for _ in range(6)]
     assert validate(net, val, cfg, threads=2) == validate(net, val, cfg, threads=1)
     valset = make_dataset(num_objects=2, seed=4, first_object_id=50)
-    runs = [train(ds, valset, _quick_cfg(), threads=t, val_triplets=4) for t in (1, 2)]
+    runs = [train(ds, valset, _quick_cfg(), threads=t) for t in (1, 2)]
     (net_1, curves_1), (net_2, curves_2) = runs
     assert [(r.train_loss, r.val_loss, r.lr) for r in curves_1] == [
         (r.train_loss, r.val_loss, r.lr) for r in curves_2
