@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import build_dataset, load_dataset, save_dataset
+from .data import MAX_KEYPOINTS, MIN_SCENE_SIDE, build_dataset, load_dataset, save_dataset
 from .matching import MatchConfig
 from .net import init_net, load_net, save_net
 from .retrieval import (
@@ -57,8 +57,6 @@ DEFAULT_CONFIG = {
         "views": 4,
         "bag_size": 32,
         "image_size": 512,
-        "intensity_threshold": 0.05,
-        "max_keypoints": 75,
         "patch_radius": 16,
         "train_fraction": 0.7,
         "val_fraction": 0.15,
@@ -104,10 +102,10 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError(f"need at least 3 objects to form disjoint splits, got {d['objects']}")
     if d["views"] < 2:
         raise ConfigError("views must be at least 2")
-    if d["bag_size"] < 1 or d["bag_size"] > d["max_keypoints"]:
-        raise ConfigError("bag_size must lie in [1, max_keypoints]")
-    if d["image_size"] < 256:
-        raise ConfigError("image_size must be at least 256")
+    if not 1 <= d["bag_size"] <= MAX_KEYPOINTS:
+        raise ConfigError(f"bag_size must lie in [1, {MAX_KEYPOINTS}]")
+    if d["image_size"] < MIN_SCENE_SIDE:
+        raise ConfigError(f"image_size must be at least {MIN_SCENE_SIDE}")
     if d["patch_radius"] < 1:
         raise ConfigError("patch_radius must be at least 1")
     if not (0 < d["train_fraction"] < 1 and 0 < d["val_fraction"] < 1):
@@ -183,8 +181,6 @@ def cmd_gen_data(cfg: dict, out_dir: Path) -> None:
             d["bag_size"],
             data_seed,
             image_size=d["image_size"],
-            intensity_threshold=d["intensity_threshold"],
-            max_keypoints=d["max_keypoints"],
             patch_radius=d["patch_radius"],
             first_object_id=first_id,
             split=split,

@@ -44,6 +44,10 @@ __all__ = [
 DATASET_MAGIC = b"WLRNBAG1"
 MIN_SCENE_SIDE = 256
 PATCH_SIDE = 32
+# FAST segment-test intensity margin, on [0,1] gray values.
+FAST_THRESHOLD = 0.05
+# Strongest corners kept per view; a bag is drawn from these.
+MAX_KEYPOINTS = 75
 # A view's random corner displacement, as a fraction of the image side.
 MAX_CORNER_JITTER = 0.15
 # Scenes generated per object before build_dataset gives up.
@@ -505,8 +509,6 @@ def build_dataset(
     seed: int,
     *,
     image_size: int = 512,
-    intensity_threshold: float = 0.05,
-    max_keypoints: int = 75,
     patch_radius: int = 16,
     first_object_id: int = 0,
     split: str = "",
@@ -522,8 +524,8 @@ def build_dataset(
         raise DataError("need at least 1 object and 2 views per object")
     if patch_radius < 1:
         raise DataError(f"patch radius must be at least 1, got {patch_radius}")
-    if not 1 <= bag_size <= max_keypoints:
-        raise DataError(f"bag size must lie in [1, max_keypoints={max_keypoints}], got {bag_size}")
+    if not 1 <= bag_size <= MAX_KEYPOINTS:
+        raise DataError(f"bag size must lie in [1, MAX_KEYPOINTS={MAX_KEYPOINTS}], got {bag_size}")
     bags: list[PatchBag] = []
     for index in range(num_objects):
         object_id = first_object_id + index
@@ -538,7 +540,7 @@ def build_dataset(
                 candidate = [
                     extract_bag(
                         scene,
-                        fast_detect(downsample4(scene.pixels), intensity_threshold, max_keypoints),
+                        fast_detect(downsample4(scene.pixels), FAST_THRESHOLD, MAX_KEYPOINTS),
                         bag_size,
                         patch_radius,
                     )

@@ -42,20 +42,17 @@ class MatchConfig:
     """Threshold and relaxation constants for bag matching.
 
     tau thresholds the squared descriptor distance (unit vectors keep it in
-    [0,4]); beta is the sigmoid sharpness; epsilon stabilizes the ratio loss.
+    [0,4]); beta is the sigmoid sharpness.
     """
 
     tau: float = 0.8
     beta: float = 20.0
-    epsilon: float = 1e-6
 
     def __post_init__(self):
         if not 0.0 < self.tau < 4.0:
             raise ValueError(f"tau must lie in (0, 4), got {self.tau}")
         if not 0.0 < self.beta < np.inf:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
-        if not 0.0 < self.epsilon < np.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
 
 
 class GramPair:

@@ -35,6 +35,12 @@ __all__ = [
     "split_seed",
 ]
 
+# Keeps the ratio loss finite when the positive score is zero.
+RATIO_EPSILON = 1e-6
+# rmsprop's squared-gradient decay and denominator guard.
+RMSPROP_DECAY = 0.9
+RMSPROP_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -47,12 +53,15 @@ class TrainConfig:
     triplets_per_round: int = 5000
     rounds: int = 128
     patience: int = 5
-    rmsprop_decay: float = 0.9
-    rmsprop_eps: float = 1e-8
     val_triplets: int = 128
     seed: int = 0
 
     def __post_init__(self):
+        counts = ("batch_size", "iters_per_round", "triplets_per_round", "rounds", "patience", "val_triplets")
+        for name in counts:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0.0 < self.lr0 < np.inf:
             raise ValueError(f"lr0 must be positive and finite, got {self.lr0}")
         if min(self.batch_size, self.triplets_per_round, self.rounds, self.val_triplets) < 1:
@@ -65,10 +74,6 @@ class TrainConfig:
             raise ValueError(f"rounds capped at 128, got {self.rounds}")
         if self.patience < 1:
             raise ValueError(f"patience must be at least 1, got {self.patience}")
-        if not 0.0 <= self.rmsprop_decay < 1.0:
-            raise ValueError(f"rmsprop decay must lie in [0,1), got {self.rmsprop_decay}")
-        if not 0.0 < self.rmsprop_eps < np.inf:
-            raise ValueError(f"rmsprop eps must be positive and finite, got {self.rmsprop_eps}")
         if self.batch_size > self.triplets_per_round:
             raise ValueError("batch cannot exceed the round's triplet pool")
 
@@ -88,9 +93,9 @@ def split_seed(master: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(master).spawn(3)
 
 
-def ratio_loss(score_pos: float, score_neg: float, epsilon: float) -> float:
-    """score_neg / (score_pos + epsilon): low when the matching pair wins."""
-    return score_neg / (score_pos + epsilon)
+def ratio_loss(score_pos: float, score_neg: float) -> float:
+    """score_neg / (score_pos + RATIO_EPSILON): low when the matching pair wins."""
+    return score_neg / (score_pos + RATIO_EPSILON)
 
 
 def triplet_loss(net: DescriptorNet, triplet: BagTriplet, cfg: MatchConfig) -> tuple[float, dict]:
@@ -117,24 +122,18 @@ def triplet_loss(net: DescriptorNet, triplet: BagTriplet, cfg: MatchConfig) -> t
     pair_neg = GramPair(rows[:n], rows[2 * n :])
     score_pos = soft_match_score(pair_pos, cfg)
     score_neg = soft_match_score(pair_neg, cfg)
-    loss = ratio_loss(score_pos, score_neg, cfg.epsilon)
-    d_neg = 1.0 / (score_pos + cfg.epsilon)
-    d_pos = -score_neg / (score_pos + cfg.epsilon) ** 2
+    loss = ratio_loss(score_pos, score_neg)
+    d_neg = 1.0 / (score_pos + RATIO_EPSILON)
+    d_pos = -score_neg / (score_pos + RATIO_EPSILON) ** 2
     da_neg, dn = soft_match_backward(pair_neg, cfg, upstream=d_neg)
     da_pos, dp = soft_match_backward(pair_pos, cfg, upstream=d_pos)
     desc.backward(np.concatenate([da_neg + da_pos, dp, dn]))
     return loss, {name: p.grad for name, p in params.items()}
 
 
-def rmsprop_step(
-    params: dict,
-    grads: dict,
-    state: dict,
-    lr: float,
-    decay: float,
-    eps: float,
-) -> None:
-    """In-place rmsprop update: v <- decay v + (1-decay) g^2, p -= lr g/(sqrt(v)+eps)."""
+def rmsprop_step(params: dict, grads: dict, state: dict, lr: float) -> None:
+    """In-place rmsprop update: v <- decay v + (1-decay) g^2, p -= lr g/(sqrt(v)+eps),
+    with RMSPROP_DECAY and RMSPROP_EPS."""
     for name, param in params.items():
         g = grads.get(name)
         if g is None:
@@ -144,9 +143,9 @@ def rmsprop_step(
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in layer {name}")
         v = state.setdefault(name, np.zeros_like(param.data))
-        v *= decay
-        v += (1.0 - decay) * g * g
-        param.data -= lr * g / (np.sqrt(v) + eps)
+        v *= RMSPROP_DECAY
+        v += (1.0 - RMSPROP_DECAY) * g * g
+        param.data -= lr * g / (np.sqrt(v) + RMSPROP_EPS)
 
 
 def _batch_gradients(
@@ -194,7 +193,7 @@ def run_round(
         batch = [pool[i] for i in chosen]
         mean_loss, grads = _batch_gradients(net, batch, cfg.match, threads)
         losses.append(mean_loss)
-        rmsprop_step(net.params, grads, state, lr, cfg.rmsprop_decay, cfg.rmsprop_eps)
+        rmsprop_step(net.params, grads, state, lr)
     return float(np.mean(losses)) if losses else float("nan")
 
 
@@ -226,9 +225,7 @@ def validate(
             descs[(t.anchor.object_id, t.anchor.view_id)],
             descs[(t.negative.object_id, t.negative.view_id)],
         )
-        losses.append(
-            ratio_loss(soft_match_score(pair_pos, cfg), soft_match_score(pair_neg, cfg), cfg.epsilon)
-        )
+        losses.append(ratio_loss(soft_match_score(pair_pos, cfg), soft_match_score(pair_neg, cfg)))
     return float(np.mean(losses))
 
 

@@ -19,4 +19,4 @@ def forward_triplet_loss(net, triplet, cfg):
     rows = forward_bag(net, stacked).data
     score_pos = soft_match_score(GramPair(rows[:n], rows[n : 2 * n]), cfg)
     score_neg = soft_match_score(GramPair(rows[:n], rows[2 * n :]), cfg)
-    return ratio_loss(score_pos, score_neg, cfg.epsilon)
+    return ratio_loss(score_pos, score_neg)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +67,38 @@ def test_resolve_config_rejects_unknown_keys():
             resolve_config({"train": {key: value}})
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("data", "intensity_threshold", 0.05),
+        ("data", "max_keypoints", 75),
+        ("match", "epsilon", 1e-6),
+        ("train", "rmsprop_decay", 0.9),
+        ("train", "rmsprop_eps", 1e-8),
+    ],
+)
+def test_protocol_constants_are_not_config_keys(tmp_path, capsys, section, key, value):
+    """The five constants of data and train are rejected even at their values."""
+    cfg = write_config(tmp_path, {section: {key: value}})
+    out = tmp_path / "out"
+    for command in ("gen-data", "train"):
+        assert main(["--config", str(cfg), "--out", str(out), command]) == 1
+        assert "unknown key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_minimal_config_resolves():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("A minimal config", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    raw = json.loads(block)
+    cfg = resolve_config(raw)
+    for section, values in raw.items():
+        if isinstance(values, dict):
+            assert {key: cfg[section][key] for key in values} == values
+        else:
+            assert cfg[section] == values
+
+
 def test_resolve_config_rejects_single_object():
     with pytest.raises(ConfigError):
         resolve_config({"data": {"objects": 1}})
@@ -108,13 +141,11 @@ def test_default_config_is_unchanged():
             "views": 4,
             "bag_size": 32,
             "image_size": 512,
-            "intensity_threshold": 0.05,
-            "max_keypoints": 75,
             "patch_radius": 16,
             "train_fraction": 0.7,
             "val_fraction": 0.15,
         },
-        "match": {"tau": 0.8, "beta": 20.0, "epsilon": 1e-6},
+        "match": {"tau": 0.8, "beta": 20.0},
         "train": {
             "lr0": 0.001,
             "batch_size": 32,
@@ -122,8 +153,6 @@ def test_default_config_is_unchanged():
             "triplets_per_round": 5000,
             "rounds": 128,
             "patience": 5,
-            "rmsprop_decay": 0.9,
-            "rmsprop_eps": 1e-8,
             "val_triplets": 128,
         },
         "retrieval": {"tau_grid": None, "k_list": [2, 4, 8], "kmeans_iters": 100},

@@ -40,12 +40,12 @@ def soft_score_reference(desc1, desc2, cfg):
 
 def test_match_config_defaults_and_validation():
     cfg = MatchConfig()
-    assert (cfg.tau, cfg.beta, cfg.epsilon) == (0.8, 20.0, 1e-6)
-    for bad in (dict(tau=0.0), dict(tau=4.0), dict(beta=0.0), dict(epsilon=0.0)):
+    assert (cfg.tau, cfg.beta) == (0.8, 20.0)
+    for bad in (dict(tau=0.0), dict(tau=4.0), dict(beta=0.0)):
         with pytest.raises(ValueError):
             MatchConfig(**bad)
     # every field rejects NaN and infinity (plain comparisons let NaN through)
-    for field in ("tau", "beta", "epsilon"):
+    for field in ("tau", "beta"):
         for value in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError):
                 MatchConfig(**{field: value})

@@ -1,5 +1,7 @@
 """Loss arithmetic, optimizer mechanics, round structure, determinism."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from bagdesc.net import (
 )
 from bagdesc.tensor import Tensor
 from bagdesc.train import (
+    RMSPROP_DECAY,
+    RMSPROP_EPS,
     TrainConfig,
     _batch_gradients,
     ratio_loss,
@@ -47,9 +51,19 @@ def make_triplet(rng, n=4):
     return BagTriplet(make_bag(rng, 0, 0, n), make_bag(rng, 0, 1, n), make_bag(rng, 1, 0, n))
 
 
+def test_package_root_leaves_submodules_reachable():
+    """`bagdesc` re-exports nothing, so `bagdesc.train` is the module, not the function."""
+    import bagdesc
+    import bagdesc.train as train_module
+
+    assert inspect.ismodule(train_module)
+    assert inspect.ismodule(bagdesc.train)
+    assert train_module.train is train
+
+
 def test_ratio_loss_hand_case():
-    assert ratio_loss(0.5, 0.25, 1e-6) == pytest.approx(0.4999990, abs=1e-7)
-    assert ratio_loss(0.9, 0.0, 1e-6) == 0.0
+    assert ratio_loss(0.5, 0.25) == pytest.approx(0.4999990, abs=1e-7)
+    assert ratio_loss(0.9, 0.0) == 0.0
 
 
 def test_train_config_validation():
@@ -61,17 +75,22 @@ def test_train_config_validation():
         dict(rounds=0),
         dict(rounds=129),
         dict(patience=0),
-        dict(rmsprop_decay=1.0),
         dict(batch_size=64, triplets_per_round=32),
         dict(val_triplets=0),
         dict(val_triplets=-1),
+        # counts must be ints, and a bool is not a count
+        dict(rounds=1.5),
+        dict(val_triplets=2.5),
+        dict(iters_per_round=0.5),
+        dict(batch_size=2.5, triplets_per_round=8),
+        dict(patience=True),
+        dict(rounds=True),
     ):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
-    for field in ("lr0", "rmsprop_decay", "rmsprop_eps"):
-        for value in (float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(ValueError):
-                TrainConfig(**{field: value})
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            TrainConfig(lr0=value)
 
 
 def test_triplet_loss_equal_positive_and_negative_content():
@@ -97,7 +116,7 @@ def test_triplet_loss_matches_per_bag_forward():
     )
     pair_pos = GramPair(anchor, positive)
     pair_neg = GramPair(anchor, negative)
-    want = ratio_loss(soft_match_score(pair_pos, cfg), soft_match_score(pair_neg, cfg), cfg.epsilon)
+    want = ratio_loss(soft_match_score(pair_pos, cfg), soft_match_score(pair_neg, cfg))
     assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -143,7 +162,7 @@ def test_triplet_loss_gradients_match_finite_differences():
 def test_rmsprop_zero_gradient_is_identity():
     params = {"w": Tensor(RNG.normal(size=(3, 3)))}
     before = params["w"].data.copy()
-    rmsprop_step(params, {"w": np.zeros((3, 3))}, {}, lr=0.1, decay=0.9, eps=1e-8)
+    rmsprop_step(params, {"w": np.zeros((3, 3))}, {}, lr=0.1)
     assert np.array_equal(params["w"].data, before)
 
 
@@ -151,11 +170,12 @@ def test_rmsprop_one_step_closed_form():
     g = np.array([2.0, -3.0, 0.5])
     params = {"w": Tensor(np.zeros(3))}
     state = {}
-    lr, decay, eps = 0.01, 0.9, 1e-8
-    rmsprop_step(params, {"w": g.copy()}, state, lr, decay, eps)
+    lr = 0.01
+    assert (RMSPROP_DECAY, RMSPROP_EPS) == (0.9, 1e-8)
+    rmsprop_step(params, {"w": g.copy()}, state, lr)
     expected_v = 0.1 * g * g
     assert np.allclose(state["w"], expected_v, atol=1e-15)
-    expected_step = -lr * g / (np.sqrt(expected_v) + eps)
+    expected_step = -lr * g / (np.sqrt(expected_v) + RMSPROP_EPS)
     assert np.allclose(params["w"].data, expected_step, atol=1e-15)
     # magnitude is lr / sqrt(0.1) regardless of gradient scale
     assert np.allclose(np.abs(params["w"].data), lr / np.sqrt(0.1), rtol=1e-6)
@@ -164,7 +184,7 @@ def test_rmsprop_one_step_closed_form():
 def test_rmsprop_rejects_non_finite_and_names_layer():
     params = {"conv1_w": Tensor(np.zeros(2))}
     with pytest.raises(FloatingPointError, match="conv1_w"):
-        rmsprop_step(params, {"conv1_w": np.array([np.nan, 1.0])}, {}, 0.1, 0.9, 1e-8)
+        rmsprop_step(params, {"conv1_w": np.array([np.nan, 1.0])}, {}, 0.1)
 
 
 def test_run_round_zero_iters_leaves_net_unchanged():
