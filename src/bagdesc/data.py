@@ -52,6 +52,8 @@ MAX_KEYPOINTS = 75
 MAX_CORNER_JITTER = 0.15
 # Scenes generated per object before build_dataset gives up.
 MAX_SCENE_ATTEMPTS = 64
+# Output rows a perspective warp computes and samples at a time.
+WARP_BLOCK_ROWS = 32
 
 # 16-pixel Bresenham circle of radius 3, clockwise from twelve o'clock.
 _CIRCLE = (
@@ -193,7 +195,11 @@ def _homography_from_corners(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
 
 def _bilinear_sample(img: np.ndarray, xq: np.ndarray, yq: np.ndarray) -> np.ndarray:
-    """Sample [C,H,W] at float (x,y) locations with edge clamping."""
+    """Sample [C,H,W] at float (x,y) locations with edge clamping.
+
+    Each corner's value is weighted as (value * y-weight) * x-weight, and the
+    four corners add left to right, top row first.
+    """
     c, h, w = img.shape
     x = np.clip(xq, 0.0, w - 1.0)
     y = np.clip(yq, 0.0, h - 1.0)
@@ -207,23 +213,35 @@ def _bilinear_sample(img: np.ndarray, xq: np.ndarray, yq: np.ndarray) -> np.ndar
     gx = 1 - fx
     gy = 1 - fy
     flat = img.reshape(c, -1)
-    return (
-        flat.take(top + x0, axis=1) * gy * gx
-        + flat.take(top + x1, axis=1) * gy * fx
-        + flat.take(bottom + x0, axis=1) * fy * gx
-        + flat.take(bottom + x1, axis=1) * fy * fx
-    )
+    out = flat.take(top + x0, axis=1)
+    out *= gy
+    out *= gx
+    for index, wy, wx in ((top + x1, gy, fx), (bottom + x0, fy, gx), (bottom + x1, fy, fx)):
+        term = flat.take(index, axis=1)
+        term *= wy
+        term *= wx
+        out += term
+    return out
 
 
 def _warp_image(pixels: np.ndarray, hmat: np.ndarray) -> np.ndarray:
-    """Render the view of `pixels` under `hmat` (reference -> view)."""
+    """Render the view of `pixels` under `hmat` (reference -> view).
+
+    Source coordinates are computed and sampled WARP_BLOCK_ROWS output rows
+    at a time into one [C,H,W] output. Every step is elementwise, so the
+    blocks give the bits of one whole-image pass without its temporaries.
+    """
     h, w = pixels.shape[1:]
     hinv = np.linalg.inv(hmat)
-    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
-    denom = hinv[2, 0] * xs + hinv[2, 1] * ys + hinv[2, 2]
-    qx = (hinv[0, 0] * xs + hinv[0, 1] * ys + hinv[0, 2]) / denom
-    qy = (hinv[1, 0] * xs + hinv[1, 1] * ys + hinv[1, 2]) / denom
-    return _bilinear_sample(pixels, qx, qy)
+    xs = np.arange(w, dtype=np.float64)
+    out = np.empty(pixels.shape)
+    for top in range(0, h, WARP_BLOCK_ROWS):
+        ys = np.arange(top, min(top + WARP_BLOCK_ROWS, h), dtype=np.float64)[:, None]
+        denom = hinv[2, 0] * xs + hinv[2, 1] * ys + hinv[2, 2]
+        qx = (hinv[0, 0] * xs + hinv[0, 1] * ys + hinv[0, 2]) / denom
+        qy = (hinv[1, 0] * xs + hinv[1, 1] * ys + hinv[1, 2]) / denom
+        out[:, top : top + len(ys)] = _bilinear_sample(pixels, qx, qy)
+    return out
 
 
 def _polygon_mask(xs: np.ndarray, ys: np.ndarray, verts: np.ndarray) -> np.ndarray:
@@ -336,8 +354,8 @@ def _render_reference(rng: np.random.Generator, size: int) -> np.ndarray:
         fill = np.clip(base[:, None, None] + amp * pattern[None], 0.0, 1.0)
         img[:, rows, cols] = np.where(mask[None], fill, img[:, rows, cols])
 
-    img = img + rng.normal(0.0, 0.02, size=img.shape)
-    return np.clip(img, 0.0, 1.0)
+    img += rng.normal(0.0, 0.02, size=img.shape)
+    return np.clip(img, 0.0, 1.0, out=img)
 
 
 def generate_scene(
@@ -354,7 +372,8 @@ def generate_scene(
     perspective warp (each corner moves by at most MAX_CORNER_JITTER * size
     per axis), brightness/contrast jitter within +/-20%, and pixel noise with
     sigma <= 0.02. `identity_warp` forces the warp to the identity so views
-    differ only photometrically. Deterministic in (seed, arguments).
+    differ only photometrically. Deterministic in (seed, arguments). The
+    jitter, noise and clip of each view run in place, in that order.
     """
     if num_views < 2:
         raise DataError(f"need at least 2 views, got {num_views}")
@@ -374,10 +393,15 @@ def generate_scene(
             warped = _warp_image(reference, hmat)
         contrast = rng.uniform(0.8, 1.2)
         brightness = rng.uniform(-0.2, 0.2)
-        warped = (warped - 0.5) * contrast + 0.5 + brightness
+        # ((warped - 0.5) * contrast + 0.5) + brightness
+        warped -= 0.5
+        warped *= contrast
+        warped += 0.5
+        warped += brightness
         sigma = rng.uniform(0.002, 0.02)
-        warped = warped + rng.normal(0.0, sigma, size=warped.shape)
-        views.append(SceneImage(np.clip(warped, 0.0, 1.0), object_id, view_id, hmat))
+        warped += rng.normal(0.0, sigma, size=warped.shape)
+        np.clip(warped, 0.0, 1.0, out=warped)
+        views.append(SceneImage(warped, object_id, view_id, hmat))
     return views
 
 
@@ -393,11 +417,22 @@ def rgb_to_gray(pixels: np.ndarray) -> np.ndarray:
 
 
 def downsample4(pixels: np.ndarray) -> np.ndarray:
-    """Downsample [C,H,W] by 4 with 4x4 area averaging (crops to multiples)."""
+    """Downsample [C,H,W] by 4 with 4x4 area averaging (crops to multiples).
+
+    Each block adds the 4 values of each of its rows left to right, then
+    the 4 row sums top to bottom, then divides by 16: the order in which
+    `reshape(...).mean(axis=(2, 4))` sums, so the bits are the same.
+    """
     c, h, w = pixels.shape
-    h4, w4 = (h // 4) * 4, (w // 4) * 4
-    cropped = pixels[:, :h4, :w4]
-    return cropped.reshape(c, h4 // 4, 4, w4 // 4, 4).mean(axis=(2, 4))
+    blocks = pixels[:, : (h // 4) * 4, : (w // 4) * 4].reshape(c, h // 4, 4, w // 4, 4)
+    rows = blocks[..., 0] + blocks[..., 1]
+    rows += blocks[..., 2]
+    rows += blocks[..., 3]
+    total = rows[:, :, 0] + rows[:, :, 1]
+    total += rows[:, :, 2]
+    total += rows[:, :, 3]
+    total /= 16
+    return total
 
 
 def _arc_min_scores(margins: np.ndarray) -> np.ndarray:
@@ -518,7 +553,9 @@ def build_dataset(
     Corners are detected on each view downsampled by four. Scenes that fail
     to yield `bag_size` usable corners in every view are regenerated from a
     derived seed (never padded); more than MAX_SCENE_ATTEMPTS failures for
-    one object is an error.
+    one object is an error. Each object's bags are copied into one
+    [objects*views, n, 3, 32, 32] split array as the object finishes, and
+    every bag's pixels are a view of it, as in `load_dataset`.
     """
     if num_objects < 1 or views_per_object < 2:
         raise DataError("need at least 1 object and 2 views per object")
@@ -526,6 +563,7 @@ def build_dataset(
         raise DataError(f"patch radius must be at least 1, got {patch_radius}")
     if not 1 <= bag_size <= MAX_KEYPOINTS:
         raise DataError(f"bag size must lie in [1, MAX_KEYPOINTS={MAX_KEYPOINTS}], got {bag_size}")
+    pixels = np.empty((num_objects * views_per_object, bag_size, *PATCH_SHAPE))
     bags: list[PatchBag] = []
     for index in range(num_objects):
         object_id = first_object_id + index
@@ -548,7 +586,10 @@ def build_dataset(
                 ]
             except DataError:
                 continue
-            bags.extend(candidate)
+            for bag in candidate:
+                pixels[len(bags)] = bag.pixels
+                bag.pixels = pixels[len(bags)]
+                bags.append(bag)
             break
         else:
             raise DataError(

@@ -57,11 +57,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        counts = ("batch_size", "iters_per_round", "triplets_per_round", "rounds", "patience", "val_triplets")
-        for name in counts:
+        integers = (
+            "batch_size", "iters_per_round", "triplets_per_round", "rounds", "patience", "val_triplets", "seed"
+        )
+        for name in integers:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.lr0 < np.inf:
             raise ValueError(f"lr0 must be positive and finite, got {self.lr0}")
         if min(self.batch_size, self.triplets_per_round, self.rounds, self.val_triplets) < 1:

@@ -185,3 +185,24 @@ def bilinear_sample_loop(img, xq, yq):
                 + float(img[ch, y1, x1]) * fy * fx
             )
     return out
+
+
+def downsample4_loop(pixels):
+    """4x4 block means of [C,H,W], cropped to multiples of 4, summed in order.
+
+    Each block adds the 4 values of a row left to right, then the 4 row sums
+    top to bottom, then divides by 16.
+    """
+    c, h, w = pixels.shape
+    out = np.zeros((c, h // 4, w // 4))
+    for ch in range(c):
+        for by in range(h // 4):
+            for bx in range(w // 4):
+                total = 0.0
+                for dy in range(4):
+                    row = 0.0
+                    for dx in range(4):
+                        row += float(pixels[ch, 4 * by + dy, 4 * bx + dx])
+                    total += row
+                out[ch, by, bx] = total / 16
+    return out

@@ -1,6 +1,7 @@
 """Synthetic scenes, FAST corners, patch bags, dataset files."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from bagdesc.data import (
 )
 from bagdesc.tensor import ShapeError
 
-from oracles import bilinear_sample_loop, fast_reference
+from oracles import bilinear_sample_loop, downsample4_loop, fast_reference
 
 RNG = np.random.default_rng(9)
 
@@ -181,6 +182,35 @@ def test_downsample4_area_average():
     assert small[2, 1, 2] == pytest.approx(img[2, 4:8, 8:12].mean(), abs=1e-15)
 
 
+@pytest.mark.parametrize("shape", [(3, 8, 12), (3, 301, 298), (1, 9, 13), (2, 64, 40)])
+def test_downsample4_matches_loop_oracle_exactly(shape):
+    rng = np.random.default_rng(sum(shape))
+    # magnitudes from 1e-3 to 1e3, so a change in summation order shows
+    img = rng.uniform(0, 1, shape) * 10.0 ** rng.uniform(-3, 3, shape)
+    want = downsample4_loop(img)
+    c, h, w = shape
+    h4, w4 = (h // 4) * 4, (w // 4) * 4
+    mean = img[:, :h4, :w4].reshape(c, h4 // 4, 4, w4 // 4, 4).mean(axis=(2, 4))
+    assert np.array_equal(mean, want)
+    assert np.array_equal(downsample4(img), want)
+
+
+# tracemalloc peak of generate_scene(0, 4, size=512): the reference and
+# three views are 25.2 MB, plus one view's 6.3 MB noise draw (32.2 MB
+# measured). Whole-image warp temporaries would add about 50 MB.
+SCENE_PEAK_BOUND_MB = 40
+
+
+def test_generate_scene_memory_peak_is_bounded():
+    tracemalloc.start()
+    try:
+        generate_scene(0, 4, size=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 1e6 < SCENE_PEAK_BOUND_MB
+
+
 # ---------------------------------------------------------------------------
 # FAST
 
@@ -288,6 +318,18 @@ def test_build_dataset_and_determinism():
         assert np.array_equal(ba.pixel_stack(), bb.pixel_stack())
 
 
+def test_build_dataset_bags_share_one_array(tmp_path):
+    built = build_dataset(3, 2, 4, seed=5, image_size=256, patch_radius=8)
+    save_dataset(built, tmp_path / "d.bags")
+    loaded = load_dataset(tmp_path / "d.bags")
+    for dataset in (built, loaded):
+        split = dataset.bags[0].pixels.base
+        assert split.shape == (len(dataset), 4, 3, 32, 32)
+        assert all(np.shares_memory(bag.pixels, split) for bag in dataset.bags)
+        bags = dataset.bags
+        assert not any(np.shares_memory(a.pixels, b.pixels) for a, b in zip(bags, bags[1:]))
+
+
 def test_build_dataset_rejects_bad_radius_before_rendering(monkeypatch):
     renders = []
 
@@ -305,22 +347,39 @@ def test_build_dataset_rejects_bad_radius_before_rendering(monkeypatch):
     assert renders == []
 
 
-# SHA-256 over every bag's pixels and keypoints of
-# build_dataset(2, 2, 4, seed, image_size=256, patch_radius=8), recorded
-# before build_dataset called fast_detect and extract_bag directly.
+def _dataset_digest(seed, bag_size, image_size, patch_radius):
+    """SHA-256 over every bag's pixels and keypoints of a two-object dataset."""
+    digest = hashlib.sha256()
+    built = build_dataset(2, 2, bag_size, seed, image_size=image_size, patch_radius=patch_radius)
+    for bag in built.bags:
+        digest.update(np.ascontiguousarray(bag.pixels, "<f8").tobytes())
+        digest.update(np.asarray(bag.keypoints, "<i8").tobytes())
+    return digest.hexdigest()
+
+
+# Bags of 4 at 256 px with radius 8, recorded before build_dataset called
+# fast_detect and extract_bag directly.
 DATASET_DIGESTS = {
     0: "5314c577e22effcb677bbb754d91cb223abf31d51c9dfe47048c6e23c62cf651",
     5: "7cbab5b9a90f6e07ca4f9e5b11776a90a7147cd0f4b624ef8f0415866ea081c5",
 }
 
+# Bags of 32 at gen-data's own 512 px and radius 16, where each patch is
+# its crop unresampled; recorded before warps rendered in row blocks.
+GEN_DATASET_DIGESTS = {
+    0: "f11e6da9f8283bd32a4ecdc765c3589708316d70bd3e0a219180828f13a7efaf",
+    5: "bc5eb2ec29f147bfb53a41c186f541dbb70202e4cdac9f33989eeaf9d8b0cb86",
+}
+
 
 @pytest.mark.parametrize("seed", sorted(DATASET_DIGESTS))
 def test_build_dataset_bytes_are_pinned(seed):
-    digest = hashlib.sha256()
-    for bag in build_dataset(2, 2, 4, seed, image_size=256, patch_radius=8).bags:
-        digest.update(np.ascontiguousarray(bag.pixels, "<f8").tobytes())
-        digest.update(np.asarray(bag.keypoints, "<i8").tobytes())
-    assert digest.hexdigest() == DATASET_DIGESTS[seed]
+    assert _dataset_digest(seed, 4, 256, 8) == DATASET_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(GEN_DATASET_DIGESTS))
+def test_build_dataset_bytes_are_pinned_at_gen_settings(seed):
+    assert _dataset_digest(seed, 32, 512, 16) == GEN_DATASET_DIGESTS[seed]
 
 
 def test_patch_bag_validates():

@@ -85,6 +85,10 @@ def test_train_config_validation():
         dict(batch_size=2.5, triplets_per_round=8),
         dict(patience=True),
         dict(rounds=True),
+        # the seed is a non-negative int, checked before any data loads
+        dict(seed=1.5),
+        dict(seed=-1),
+        dict(seed=True),
     ):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
