@@ -33,7 +33,7 @@ def main():
               f"{small.shape[1]}x{small.shape[2]} downsampled image, "
               f"strongest score {detections[0][2]:.3f}")
 
-    bag = extract_bag(views[0], fast_detect(downsample4(views[0].pixels), 0.05, 75), n=16)
+    bag = extract_bag(views[0], n=16)
     print(f"\nbag: {bag.n} patches of shape {bag.pixels.shape[1:]}, "
           f"keypoints like {bag.keypoints[:3]} ...")
 

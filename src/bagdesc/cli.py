@@ -1,13 +1,13 @@
 """Command-line entry point for reproducible end-to-end runs.
 
 Subcommands: gen-data, train, eval-match, eval-vlad, sweep-tau. A JSON
-config file supplies every parameter; --seed / --threads / --out flags
-override their config counterparts. The fully resolved config is echoed
-into a manifest next to every output. A single master seed is split into
-independent streams for data generation, training, and codebook fitting,
-so one integer reproduces a whole experiment byte-for-byte. Invalid
-configs fail before any file is written; exit status 0 means every
-requested output was fully written.
+config file supplies every parameter, and --seed overrides its master
+seed; --threads and --out have no config counterpart. The fully resolved
+config is echoed into a manifest next to every output. A single master
+seed is split into independent streams for data generation, training,
+and codebook fitting, so one integer reproduces a whole experiment
+byte-for-byte. Invalid configs fail before any file is written; exit
+status 0 means every requested output was fully written.
 """
 
 from __future__ import annotations
@@ -21,7 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import MAX_KEYPOINTS, MIN_SCENE_SIDE, build_dataset, load_dataset, save_dataset
+from .data import (
+    MIN_SCENE_SIDE,
+    DataError,
+    build_dataset,
+    check_bag_settings,
+    load_dataset,
+    save_dataset,
+)
 from .matching import MatchConfig
 from .net import init_net, load_net, save_net
 from .retrieval import (
@@ -102,12 +109,12 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError(f"need at least 3 objects to form disjoint splits, got {d['objects']}")
     if d["views"] < 2:
         raise ConfigError("views must be at least 2")
-    if not 1 <= d["bag_size"] <= MAX_KEYPOINTS:
-        raise ConfigError(f"bag_size must lie in [1, {MAX_KEYPOINTS}]")
+    try:
+        check_bag_settings(d["bag_size"], d["patch_radius"])
+    except DataError as exc:
+        raise ConfigError(str(exc)) from exc
     if d["image_size"] < MIN_SCENE_SIDE:
         raise ConfigError(f"image_size must be at least {MIN_SCENE_SIDE}")
-    if d["patch_radius"] < 1:
-        raise ConfigError("patch_radius must be at least 1")
     if not (0 < d["train_fraction"] < 1 and 0 < d["val_fraction"] < 1):
         raise ConfigError("split fractions must lie in (0, 1)")
     counts = _split_counts(d)
@@ -274,7 +281,8 @@ def cmd_sweep_tau(
     cfg: dict, out_dir: Path, data_dir: Path, model_path: Path, split: str, threads: int
 ) -> None:
     net = load_net(model_path)
-    dataset = load_dataset(data_dir / f"{split}.bags", split)
+    (path,) = _dataset_paths(data_dir, split)
+    dataset = load_dataset(path, split)
     best_tau, rows = sweep_tau(dataset, net, cfg["retrieval"]["tau_grid"], threads)
     write_score_rows(out_dir / f"sweep_{split}.csv", ["tau", "NN", "FT", "ST"], rows)
     _write_manifest(

@@ -30,6 +30,7 @@ __all__ = [
     "PatchBag",
     "BagTriplet",
     "BagDataset",
+    "check_bag_settings",
     "generate_scene",
     "downsample4",
     "rgb_to_gray",
@@ -73,25 +74,12 @@ class DataError(ValueError):
 
 @dataclass
 class SceneImage:
-    """One rendered view of one synthetic object."""
+    """One rendered view of one synthetic object, as `generate_scene` makes it."""
 
-    pixels: np.ndarray  # [3, H, W] in [0, 1]
+    pixels: np.ndarray  # float64 [3, H, W] in [0, 1]
     object_id: int
     view_id: int
     homography: np.ndarray  # 3x3, reference coords -> this view's coords
-
-    def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.float64)
-        if self.pixels.ndim != 3 or self.pixels.shape[0] != 3:
-            raise ShapeError(f"scene pixels must be [3,H,W], got {self.pixels.shape}")
-        h, w = self.pixels.shape[1:]
-        if h < MIN_SCENE_SIDE or w < MIN_SCENE_SIDE:
-            raise ShapeError(f"scene must be at least {MIN_SCENE_SIDE} px per side, got {h}x{w}")
-        self.homography = np.asarray(self.homography, dtype=np.float64)
-        if self.homography.shape != (3, 3):
-            raise ShapeError("homography must be 3x3")
-        if abs(np.linalg.det(self.homography)) <= 1e-9:
-            raise DataError("homography is numerically singular")
 
 
 @dataclass
@@ -375,6 +363,8 @@ def generate_scene(
     differ only photometrically. Deterministic in (seed, arguments). The
     jitter, noise and clip of each view run in place, in that order.
     """
+    if size < MIN_SCENE_SIDE:
+        raise ShapeError(f"scene must be at least {MIN_SCENE_SIDE} px per side, got {size}")
     if num_views < 2:
         raise DataError(f"need at least 2 views, got {num_views}")
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -493,36 +483,39 @@ def _resize_patch(crop: np.ndarray) -> np.ndarray:
     return _bilinear_sample(crop, xq, yq)
 
 
-def extract_bag(
-    scene: SceneImage,
-    detections: list[tuple[int, int, float]],
-    n: int,
-    patch_radius: int = 16,
-) -> PatchBag:
-    """Bag of the top n corner patches of a scene view.
-
-    The view is downsampled by four (detections must be in downsampled
-    coordinates), a square of side 2*patch_radius is cropped around each of
-    the n strongest keypoints lying at least patch_radius from every border,
-    and each crop is bilinearly resampled to 32x32. Fewer than n usable
-    detections is an error; bags are never padded.
-    """
+def check_bag_settings(bag_size: int, patch_radius: int) -> None:
+    """Reject a bag size outside [1, MAX_KEYPOINTS] or a patch radius below 1."""
+    if not 1 <= bag_size <= MAX_KEYPOINTS:
+        raise DataError(f"bag size must lie in [1, MAX_KEYPOINTS={MAX_KEYPOINTS}], got {bag_size}")
     if patch_radius < 1:
         raise DataError(f"patch radius must be at least 1, got {patch_radius}")
+
+
+def extract_bag(scene: SceneImage, n: int, patch_radius: int = 16) -> PatchBag:
+    """Bag of the n strongest corner patches of a scene view.
+
+    The view is downsampled by four once, and the segment test runs on that
+    image (FAST_THRESHOLD, at most MAX_KEYPOINTS corners, in `fast_detect`'s
+    strongest-first order). A square of side 2*patch_radius is cropped
+    around each of the first n corners lying at least patch_radius from
+    every border, and each crop is bilinearly resampled to 32x32. Fewer than
+    n usable corners is an error; bags are never padded.
+    """
+    check_bag_settings(n, patch_radius)
     small = downsample4(scene.pixels)
     h, w = small.shape[1:]
-    ordered = sorted(detections, key=lambda d: (-d[2], d[1], d[0]))
+    detections = fast_detect(small, FAST_THRESHOLD, MAX_KEYPOINTS)
     usable = [
-        (x, y, s)
-        for x, y, s in ordered
+        (x, y)
+        for x, y, _ in detections
         if patch_radius <= x <= w - patch_radius and patch_radius <= y <= h - patch_radius
     ]
     if len(usable) < n:
         raise DataError(
-            f"only {len(usable)} of {len(detections)} detections are at least "
+            f"only {len(usable)} of {len(detections)} corners are at least "
             f"{patch_radius} px from the border; need {n}"
         )
-    keypoints = [(int(x), int(y)) for x, y, _ in usable[:n]]
+    keypoints = usable[:n]
     crops = [
         _resize_patch(
             small[:, y - patch_radius : y + patch_radius, x - patch_radius : x + patch_radius]
@@ -550,19 +543,16 @@ def build_dataset(
 ) -> BagDataset:
     """Generate `num_objects` scenes and bag every view.
 
-    Corners are detected on each view downsampled by four. Scenes that fail
-    to yield `bag_size` usable corners in every view are regenerated from a
-    derived seed (never padded); more than MAX_SCENE_ATTEMPTS failures for
-    one object is an error. Each object's bags are copied into one
+    Each view becomes a bag through `extract_bag`. Scenes that fail to yield
+    `bag_size` usable corners in every view are regenerated from a derived
+    seed (never padded); more than MAX_SCENE_ATTEMPTS failures for one
+    object is an error. Each object's bags are copied into one
     [objects*views, n, 3, 32, 32] split array as the object finishes, and
     every bag's pixels are a view of it, as in `load_dataset`.
     """
     if num_objects < 1 or views_per_object < 2:
         raise DataError("need at least 1 object and 2 views per object")
-    if patch_radius < 1:
-        raise DataError(f"patch radius must be at least 1, got {patch_radius}")
-    if not 1 <= bag_size <= MAX_KEYPOINTS:
-        raise DataError(f"bag size must lie in [1, MAX_KEYPOINTS={MAX_KEYPOINTS}], got {bag_size}")
+    check_bag_settings(bag_size, patch_radius)
     pixels = np.empty((num_objects * views_per_object, bag_size, *PATCH_SHAPE))
     bags: list[PatchBag] = []
     for index in range(num_objects):
@@ -575,15 +565,7 @@ def build_dataset(
                 scene_seed, views_per_object, size=image_size, object_id=object_id
             )
             try:
-                candidate = [
-                    extract_bag(
-                        scene,
-                        fast_detect(downsample4(scene.pixels), FAST_THRESHOLD, MAX_KEYPOINTS),
-                        bag_size,
-                        patch_radius,
-                    )
-                    for scene in scenes
-                ]
+                candidate = [extract_bag(scene, bag_size, patch_radius) for scene in scenes]
             except DataError:
                 continue
             for bag in candidate:

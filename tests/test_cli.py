@@ -10,7 +10,7 @@ import pytest
 
 from bagdesc import net as net_module
 from bagdesc.cli import DEFAULT_CONFIG, build_parser, main, resolve_config, ConfigError
-from bagdesc.data import load_dataset
+from bagdesc.data import MAX_KEYPOINTS, load_dataset
 from bagdesc.net import init_net, load_net, save_net
 
 TINY = {
@@ -376,6 +376,28 @@ def test_missing_model_is_an_error(generated, tmp_path):
         ["--config", str(cfg), "--out", str(empty), "eval-match", "--data", str(out)]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("command", ["eval-match", "eval-vlad", "sweep-tau"])
+def test_missing_split_is_an_error(generated, tmp_path, capsys, command):
+    out, cfg = generated
+    save_net(init_net(0), tmp_path / "model.net")
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    code = main(
+        ["--config", str(cfg), "--out", str(tmp_path), command, "--data", str(empty),
+         "--split", "val"]
+    )
+    assert code == 1
+    assert "missing dataset file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value", [("bag_size", 0), ("bag_size", MAX_KEYPOINTS + 1), ("patch_radius", 0)]
+)
+def test_resolve_config_rejects_bag_geometry(key, value):
+    with pytest.raises(ConfigError, match=key.replace("_", " ")):
+        resolve_config({"data": {key: value}})
 
 
 def test_seed_flag_overrides_config(generated, tmp_path):

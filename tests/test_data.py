@@ -57,6 +57,20 @@ def test_generate_scene_structure():
         generate_scene(1, 1)
 
 
+def test_generate_scene_rejects_small_size_before_rendering(monkeypatch):
+    renders = []
+    render = data._render_reference
+
+    def counting_render(*args):
+        renders.append(args)
+        return render(*args)
+
+    monkeypatch.setattr(data, "_render_reference", counting_render)
+    with pytest.raises(ShapeError, match="at least 256"):
+        generate_scene(0, 2, size=128)
+    assert renders == []
+
+
 def test_identity_warp_views_differ_only_photometrically():
     views = generate_scene(5, 2, size=256, identity_warp=True)
     ref, warped = views[0].pixels, views[1].pixels
@@ -268,28 +282,27 @@ def scene():
 
 
 def test_extract_bag_shapes(scene):
-    detections = fast_detect(downsample4(scene.pixels), 0.05, 75)
-    bag = extract_bag(scene, detections, 32, patch_radius=16)
+    bag = extract_bag(scene, 32, patch_radius=16)
     assert bag.n == 32
     assert bag.pixel_stack().shape == (32, 3, 32, 32)
     assert bag.pixel_stack().min() >= 0.0 and bag.pixel_stack().max() <= 1.0
     assert len(bag.keypoints) == 32
 
 
-def test_extract_bag_excludes_border_keypoints(scene):
+def test_extract_bag_excludes_border_keypoints(scene, monkeypatch):
     small = downsample4(scene.pixels)
     h, w = small.shape[1:]
     r = 16
     # a fake detection one pixel inside the margin must be excluded
     detections = [(r - 1, h // 2, 100.0), (w // 2, h // 2, 1.0)]
-    bag = extract_bag(scene, detections, 1, patch_radius=r)
+    monkeypatch.setattr(data, "fast_detect", lambda *args: detections)
+    bag = extract_bag(scene, 1, patch_radius=r)
     assert bag.keypoints == [(w // 2, h // 2)]
 
 
 def test_extract_bag_identity_resample_center_pixel(scene):
     small = downsample4(scene.pixels)
-    detections = fast_detect(small, 0.05, 75)
-    bag = extract_bag(scene, detections, 8, patch_radius=16)
+    bag = extract_bag(scene, 8, patch_radius=16)
     for patch, (x, y) in zip(bag.pixels, bag.keypoints):
         assert np.max(np.abs(patch[:, 16, 16] - small[:, y, x])) < 1e-9
         # a 32 px crop needs no resampling: the patch is the crop itself
@@ -297,16 +310,41 @@ def test_extract_bag_identity_resample_center_pixel(scene):
 
 
 def test_extract_bag_rejects_when_too_few(scene):
-    detections = fast_detect(downsample4(scene.pixels), 0.05, 75)
     with pytest.raises(DataError, match="need 74"):
-        extract_bag(scene, detections, 74, patch_radius=16)
+        extract_bag(scene, 74, patch_radius=16)
 
 
 @pytest.mark.parametrize("radius", [0, -4])
 def test_extract_bag_rejects_radius_below_one(scene, radius):
-    detections = fast_detect(downsample4(scene.pixels), 0.05, 75)
     with pytest.raises(DataError, match="radius"):
-        extract_bag(scene, detections, 1, patch_radius=radius)
+        extract_bag(scene, 1, patch_radius=radius)
+
+
+@pytest.mark.parametrize("n", [0, -1, data.MAX_KEYPOINTS + 1])
+def test_extract_bag_rejects_bag_size_out_of_range(scene, n):
+    with pytest.raises(DataError, match="bag size"):
+        extract_bag(scene, n, patch_radius=8)
+
+
+def test_extract_bag_keeps_fast_order_of_its_own_downsample(scene, monkeypatch):
+    """One downsample per bag, and the corners are fast_detect's on it, in
+    its order: the first n that clear the border."""
+    smalls = []
+
+    def counting_downsample(pixels):
+        smalls.append(downsample4(pixels))
+        return smalls[-1]
+
+    monkeypatch.setattr(data, "downsample4", counting_downsample)
+    bag = extract_bag(scene, 8, patch_radius=12)
+    assert len(smalls) == 1
+    h, w = smalls[0].shape[1:]
+    want = [
+        (x, y)
+        for x, y, _ in fast_detect(smalls[0], data.FAST_THRESHOLD, data.MAX_KEYPOINTS)
+        if 12 <= x <= w - 12 and 12 <= y <= h - 12
+    ]
+    assert bag.keypoints == want[:8]
 
 
 def test_build_dataset_and_determinism():
@@ -316,6 +354,26 @@ def test_build_dataset_and_determinism():
     assert a.object_ids == [0, 1, 2]
     for ba, bb in zip(a.bags, b.bags):
         assert np.array_equal(ba.pixel_stack(), bb.pixel_stack())
+
+
+def test_build_dataset_downsamples_and_detects_once_per_view(monkeypatch):
+    rendered, downsampled, detected = [], [], []
+
+    def counting(calls, fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            calls.append(result)
+            return result
+
+        return wrapper
+
+    monkeypatch.setattr(data, "generate_scene", counting(rendered, generate_scene))
+    monkeypatch.setattr(data, "downsample4", counting(downsampled, downsample4))
+    monkeypatch.setattr(data, "fast_detect", counting(detected, fast_detect))
+    build_dataset(2, 3, 4, seed=5, image_size=256, patch_radius=8)
+    views = sum(len(scenes) for scenes in rendered)
+    assert views >= 6
+    assert len(downsampled) == len(detected) == views
 
 
 def test_build_dataset_bags_share_one_array(tmp_path):
