@@ -22,7 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    IMAGE_SIZE,
     MIN_SCENE_SIDE,
+    PATCH_RADIUS,
     DataError,
     build_dataset,
     check_bag_settings,
@@ -63,8 +65,8 @@ DEFAULT_CONFIG = {
         "objects": 50,
         "views": 4,
         "bag_size": 32,
-        "image_size": 512,
-        "patch_radius": 16,
+        "image_size": IMAGE_SIZE,
+        "patch_radius": PATCH_RADIUS,
         "train_fraction": 0.7,
         "val_fraction": 0.15,
     },

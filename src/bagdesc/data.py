@@ -45,6 +45,10 @@ __all__ = [
 DATASET_MAGIC = b"WLRNBAG1"
 MIN_SCENE_SIDE = 256
 PATCH_SIDE = 32
+# Default scene side in pixels, and default half-side of a patch's crop on
+# the image downsampled by four.
+IMAGE_SIZE = 512
+PATCH_RADIUS = 16
 # FAST segment-test intensity margin, on [0,1] gray values.
 FAST_THRESHOLD = 0.05
 # Strongest corners kept per view; a bag is drawn from these.
@@ -86,8 +90,12 @@ class SceneImage:
 class PatchBag:
     """n patches (and their keypoint coordinates) from one view of one object.
 
-    `pixels` is one [n, 3, 32, 32] float64 array with values in [0, 1].
-    Keypoints are generation-time metadata; bags loaded from disk carry None.
+    `pixels` is one [n, 3, 32, 32] float32 array with values in [0, 1], the
+    values a dataset file stores; the network widens them to float64 at its
+    input. The values given are checked before they are narrowed, so a
+    float64 value just outside [0, 1] is rejected rather than rounded into
+    range, and float32 input is kept without a copy. Keypoints are
+    generation-time metadata; bags loaded from disk carry None.
     """
 
     object_id: int
@@ -96,14 +104,15 @@ class PatchBag:
     keypoints: list[tuple[int, int]] | None = None
 
     def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.float64)
-        if self.pixels.ndim != 4 or self.pixels.shape[1:] != PATCH_SHAPE:
-            raise ShapeError(f"bag pixels must be [n,3,32,32], got {self.pixels.shape}")
-        if len(self.pixels) < 1:
+        pixels = np.asarray(self.pixels)
+        if pixels.ndim != 4 or pixels.shape[1:] != PATCH_SHAPE:
+            raise ShapeError(f"bag pixels must be [n,3,32,32], got {pixels.shape}")
+        if len(pixels) < 1:
             raise DataError("a bag needs at least one patch")
         # min/max propagate NaN, so this also rejects non-finite values
-        if not (self.pixels.min() >= 0.0 and self.pixels.max() <= 1.0):
+        if not (pixels.min() >= 0.0 and pixels.max() <= 1.0):
             raise DataError("bag pixels must be finite and lie in [0, 1]")
+        self.pixels = pixels.astype(np.float32, copy=False)
         if self.keypoints is not None and len(self.keypoints) != len(self.pixels):
             raise DataError("keypoint list length must match patch count")
 
@@ -350,7 +359,7 @@ def generate_scene(
     seed: int,
     num_views: int,
     *,
-    size: int = 512,
+    size: int = IMAGE_SIZE,
     object_id: int = 0,
     identity_warp: bool = False,
 ) -> list[SceneImage]:
@@ -491,7 +500,7 @@ def check_bag_settings(bag_size: int, patch_radius: int) -> None:
         raise DataError(f"patch radius must be at least 1, got {patch_radius}")
 
 
-def extract_bag(scene: SceneImage, n: int, patch_radius: int = 16) -> PatchBag:
+def extract_bag(scene: SceneImage, n: int, patch_radius: int = PATCH_RADIUS) -> PatchBag:
     """Bag of the n strongest corner patches of a scene view.
 
     The view is downsampled by four once, and the segment test runs on that
@@ -536,8 +545,8 @@ def build_dataset(
     bag_size: int,
     seed: int,
     *,
-    image_size: int = 512,
-    patch_radius: int = 16,
+    image_size: int = IMAGE_SIZE,
+    patch_radius: int = PATCH_RADIUS,
     first_object_id: int = 0,
     split: str = "",
 ) -> BagDataset:
@@ -546,14 +555,15 @@ def build_dataset(
     Each view becomes a bag through `extract_bag`. Scenes that fail to yield
     `bag_size` usable corners in every view are regenerated from a derived
     seed (never padded); more than MAX_SCENE_ATTEMPTS failures for one
-    object is an error. Each object's bags are copied into one
+    object is an error. Each object's bags are copied into one float32
     [objects*views, n, 3, 32, 32] split array as the object finishes, and
-    every bag's pixels are a view of it, as in `load_dataset`.
+    every bag's pixels are a view of it, as in `load_dataset`. So a built
+    bag holds the float32 values that saving and loading it gives.
     """
     if num_objects < 1 or views_per_object < 2:
         raise DataError("need at least 1 object and 2 views per object")
     check_bag_settings(bag_size, patch_radius)
-    pixels = np.empty((num_objects * views_per_object, bag_size, *PATCH_SHAPE))
+    pixels = np.empty((num_objects * views_per_object, bag_size, *PATCH_SHAPE), np.float32)
     bags: list[PatchBag] = []
     for index in range(num_objects):
         object_id = first_object_id + index
@@ -603,7 +613,11 @@ def sample_triplet(dataset: BagDataset, rng: np.random.Generator) -> BagTriplet:
 
 
 def save_dataset(dataset: BagDataset, path) -> None:
-    """Write magic, a JSON header, then fixed-size little-endian bag records."""
+    """Write magic, a JSON header, then fixed-size little-endian bag records.
+
+    Each record is three uint32 (object id, view id, n) and the bag's
+    float32 pixel values as they are held, so the bytes round-trip.
+    """
     counts = {len(v) for v in dataset.by_object.values()}
     if len(counts) != 1:
         raise DataError(f"objects have differing view counts {sorted(counts)}; cannot serialize")
@@ -619,11 +633,16 @@ def save_dataset(dataset: BagDataset, path) -> None:
         fh.write((json.dumps(header) + "\n").encode("ascii"))
         for bag in dataset.bags:
             fh.write(struct.pack("<III", bag.object_id, bag.view_id, bag.n))
-            fh.write(bag.pixel_stack().astype("<f4").tobytes())
+            fh.write(bag.pixel_stack().astype("<f4", copy=False).tobytes())
 
 
 def load_dataset(path, split: str = "") -> BagDataset:
-    """Read a dataset file back; any structural inconsistency is an error."""
+    """Read a dataset file back; any structural inconsistency is an error.
+
+    The file's float32 values are copied once into one contiguous float32
+    [bags, n, 3, 32, 32] split array, and every bag's pixels are a view of
+    it, so a loaded split holds the memory of its pixel bytes.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[: len(DATASET_MAGIC)] != DATASET_MAGIC:
@@ -670,6 +689,6 @@ def load_dataset(path, split: str = "") -> BagDataset:
         )
     if np.any(np.unique(ids[:, 0], return_counts=True)[1] != views_per_object):
         raise DataError(f"records do not form {num_objects} objects of {views_per_object} views")
-    pixels = records["pixels"].astype(np.float64)
+    pixels = np.array(records["pixels"], dtype=np.float32)
     bags = [PatchBag(o, v, pixels[i]) for i, (o, v, _) in enumerate(ids.tolist())]
     return BagDataset(bags, n, split)

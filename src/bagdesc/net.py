@@ -124,9 +124,11 @@ def init_net(seed: int, channels=FULL_CHANNELS,
 def forward(net: DescriptorNet, patch) -> Tensor:
     """Descriptor of one patch ([3,32,32]) or a stack of patches ([B,3,32,32]).
 
-    Returns a Tensor of shape [descriptor_dim] (or [B, descriptor_dim]),
-    with a gradient graph when the net's parameters require a gradient;
-    every row has unit norm. Raises DegenerateInputError when the
+    The pixels (float32 as bags hold them, or float64) are widened to one
+    float64 array here, so every activation, gradient and descriptor is
+    float64. Returns a Tensor of shape [descriptor_dim] (or [B,
+    descriptor_dim]), with a gradient graph when the net's parameters
+    require a gradient; every row has unit norm. Raises DegenerateInputError when the
     pre-normalization output vanishes.
     """
     pixels = np.asarray(patch, dtype=np.float64)
@@ -156,10 +158,11 @@ def describe(net: DescriptorNet, pixels: np.ndarray) -> np.ndarray:
     Runs `forward` over leaf Tensors of its own that share the net's arrays
     and take no gradient, so no op records a graph and each activation is
     freed once the next layer has read it. Streams in chunks of
-    DESCRIBE_CHUNK so large evaluation batches keep a small footprint.
-    Produces the same values as `forward` on each chunk.
+    DESCRIBE_CHUNK so large evaluation batches keep a small footprint: the
+    stack is not converted here, and `forward` widens each chunk to float64
+    on its own. Produces the same values as `forward` on each chunk.
     """
-    stack = np.asarray(pixels, dtype=np.float64)
+    stack = np.asarray(pixels)
     if stack.ndim != 4 or stack.shape[1:] != PATCH_SHAPE:
         raise ShapeError(f"expected [B,3,32,32] pixels, got {stack.shape}")
     frozen = DescriptorNet(

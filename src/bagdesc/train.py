@@ -107,9 +107,10 @@ def triplet_loss(net: DescriptorNet, triplet: BagTriplet, cfg: MatchConfig) -> t
 
     The graph is built over leaf Tensors of this call's own that share the
     net's parameter arrays, so the net itself is only read and concurrent
-    calls do not interfere. The three bags run through the extractor as one
-    stacked batch; the anchor's two gradient contributions (it appears in
-    both scores) are summed before the single backward pass.
+    calls do not interfere. The three bags' float32 pixels are concatenated
+    and run through the extractor as one stacked batch, which `forward`
+    widens to float64 once; the anchor's two gradient contributions (it
+    appears in both scores) are summed before the single backward pass.
     """
     params = {name: Tensor(p.data) for name, p in net.params.items()}
     n = triplet.anchor.n
@@ -189,15 +190,20 @@ def run_round(
     """One round: sample a triplet pool, run the configured rmsprop iterations.
 
     Returns the mean training loss over the iterations (NaN when there are none).
+    A non-finite gradient raises FloatingPointError naming the iteration
+    and the layer.
     """
     pool = [sample_triplet(trainset, rng) for _ in range(cfg.triplets_per_round)]
     losses = []
-    for _ in range(cfg.iters_per_round):
+    for iteration in range(cfg.iters_per_round):
         chosen = rng.choice(len(pool), size=cfg.batch_size, replace=False)
         batch = [pool[i] for i in chosen]
         mean_loss, grads = _batch_gradients(net, batch, cfg.match, threads)
         losses.append(mean_loss)
-        rmsprop_step(net.params, grads, state, lr)
+        try:
+            rmsprop_step(net.params, grads, state, lr)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"iteration {iteration}: {exc}") from exc
     return float(np.mean(losses)) if losses else float("nan")
 
 
@@ -243,7 +249,9 @@ def train(
 
     The master seed splits into independent streams for initialization,
     round sampling, and the fixed list of `cfg.val_triplets` validation
-    triplets, which is drawn once from `valset`.
+    triplets, which is drawn once from `valset`. A non-finite gradient
+    stops the run with a FloatingPointError naming the round, the iteration
+    and the layer.
     """
     if set(valset.object_ids) & set(trainset.object_ids):
         raise ValueError("train and validation object ids must be disjoint")
@@ -262,7 +270,10 @@ def train(
     best_params = None
     rounds_since_best = 0
     for round_index in range(cfg.rounds):
-        train_loss = run_round(net, trainset, cfg, sample_rng, state, lr, threads)
+        try:
+            train_loss = run_round(net, trainset, cfg, sample_rng, state, lr, threads)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"round {round_index}, {exc}") from exc
         report = RoundReport(round_index, train_loss, validate(net, val_list, cfg.match, threads), lr)
         curves.append(report)
         if report.val_loss < best_loss:

@@ -1,6 +1,7 @@
 """End-to-end command-line runs on miniature configurations."""
 
 import hashlib
+import inspect
 import json
 import os
 from pathlib import Path
@@ -8,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bagdesc import data as data_module
 from bagdesc import net as net_module
+from bagdesc import train as train_module
 from bagdesc.cli import DEFAULT_CONFIG, build_parser, main, resolve_config, ConfigError
-from bagdesc.data import MAX_KEYPOINTS, load_dataset
+from bagdesc.data import MAX_KEYPOINTS, build_dataset, extract_bag, generate_scene, load_dataset
 from bagdesc.net import init_net, load_net, save_net
 
 TINY = {
@@ -159,6 +162,17 @@ def test_default_config_is_unchanged():
     }
 
 
+def test_data_defaults_are_the_library_defaults():
+    """The config's image size and patch radius are the data module's
+    constants, which its functions take as their defaults."""
+    data = DEFAULT_CONFIG["data"]
+    build = inspect.signature(build_dataset).parameters
+    size = inspect.signature(generate_scene).parameters["size"].default
+    radius = inspect.signature(extract_bag).parameters["patch_radius"].default
+    assert data["image_size"] == build["image_size"].default == size == data_module.IMAGE_SIZE
+    assert data["patch_radius"] == build["patch_radius"].default == radius == data_module.PATCH_RADIUS
+
+
 def test_val_triplets_below_one_fails_before_training(tmp_path):
     for value in (0, -1):
         with pytest.raises(ConfigError, match="val_triplets"):
@@ -248,6 +262,31 @@ def test_train_and_reports(generated, tmp_path):
     assert len(sweep) == 4  # 3 grid points
 
 
+def test_non_finite_gradient_fails_train_and_writes_nothing(generated, tmp_path, monkeypatch, capsys):
+    """A NaN in conv2_w's gradient from round 1, iteration 0 on (two
+    iterations of two triplets per round) stops the run and names where."""
+    data, _ = generated
+    cfg = write_config(tmp_path, {"train": {"rounds": 2}})
+    real = train_module.triplet_loss
+    calls = []
+
+    def poisoned(net, triplet, match_cfg):
+        loss, grads = real(net, triplet, match_cfg)
+        if len(calls) >= 4:
+            grads["conv2_w"][0, 0, 0, 0] = np.nan
+        calls.append(loss)
+        return loss, grads
+
+    monkeypatch.setattr(train_module, "triplet_loss", poisoned)
+    out = tmp_path / "out"
+    argv = ["--config", str(cfg), "--out", str(out), "--threads", "1", "train", "--data", str(data)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "round 1, iteration 0: non-finite gradient in layer conv2_w" in err
+    assert not (out / "model.net").exists()
+    assert not (out / "curves.csv").exists()
+
+
 def test_train_with_zero_iterations_writes_nan_train_loss(generated, tmp_path):
     out, _ = generated
     run = tmp_path / "idle"
@@ -266,6 +305,13 @@ EVAL_OVERRIDES = {
     "data": {"objects": 10, "views": 3, "train_fraction": 0.4, "val_fraction": 0.3},
     "retrieval": {"tau_grid": [0.01, 0.02, 0.03, 0.04, 0.06], "k_list": [2, 4]},
 }
+# SHA-256 of the .bags files that gen-data writes for EVAL_OVERRIDES,
+# recorded while bags were held as float64 and rounded to float32 on save.
+BAGS_DIGESTS = {
+    "train.bags": "858fc4005aa949e823863fa73fe54197a8e1c717653010439d208a371b3f98f0",
+    "val.bags": "bc464037ba06d96a8113429acfc43cf2a63ff35d5171bee9324a9b6c1087dc99",
+    "test.bags": "40f542a4a70a89f976e1dfcc2454a1a64f8f98e0a64e2974c2ae910ee694737a",
+}
 # SHA-256 of every CSV that eval-match, eval-vlad and sweep-tau write with
 # init_net(0) on data from EVAL_OVERRIDES, one output directory per command
 # and split, recorded while evaluation still described bags through
@@ -283,10 +329,13 @@ EVAL_DIGESTS = {
 
 
 def test_eval_outputs_are_pinned(tmp_path):
-    """The pinned bytes hold on one worker thread and on two."""
+    """The pinned bytes hold for the dataset files, and for every CSV on one
+    worker thread and on two."""
     cfg = write_config(tmp_path, EVAL_OVERRIDES)
     data = tmp_path / "data"
     assert main(["--config", str(cfg), "--out", str(data), "gen-data"]) == 0
+    for name, digest in BAGS_DIGESTS.items():
+        assert hashlib.sha256((data / name).read_bytes()).hexdigest() == digest, name
     model = tmp_path / "init.net"
     save_net(init_net(0), model)
     for threads in ("1", "2"):

@@ -304,9 +304,11 @@ def test_extract_bag_identity_resample_center_pixel(scene):
     small = downsample4(scene.pixels)
     bag = extract_bag(scene, 8, patch_radius=16)
     for patch, (x, y) in zip(bag.pixels, bag.keypoints):
-        assert np.max(np.abs(patch[:, 16, 16] - small[:, y, x])) < 1e-9
-        # a 32 px crop needs no resampling: the patch is the crop itself
-        assert np.array_equal(patch, small[:, y - 16 : y + 16, x - 16 : x + 16])
+        # a 32 px crop needs no resampling: the patch is the clipped crop
+        # itself, rounded to the float32 a bag stores
+        crop = np.clip(small[:, y - 16 : y + 16, x - 16 : x + 16], 0.0, 1.0)
+        assert np.array_equal(patch[:, 16, 16], np.clip(small[:, y, x], 0.0, 1.0).astype(np.float32))
+        assert np.array_equal(patch, crop.astype(np.float32))
 
 
 def test_extract_bag_rejects_when_too_few(scene):
@@ -386,6 +388,28 @@ def test_build_dataset_bags_share_one_array(tmp_path):
         assert all(np.shares_memory(bag.pixels, split) for bag in dataset.bags)
         bags = dataset.bags
         assert not any(np.shares_memory(a.pixels, b.pixels) for a, b in zip(bags, bags[1:]))
+    # the built split is float32 and equals its saved and loaded copy bit for bit
+    a, b = built.bags[0].pixels.base, loaded.bags[0].pixels.base
+    assert a.dtype == b.dtype == np.float32
+    assert a.tobytes() == b.tobytes()
+
+
+def test_load_dataset_holds_the_pixel_bytes_once(tmp_path):
+    """A loaded split holds its float32 pixels once; while loading, the
+    file's bytes and that one copy are alive together (a float64 split
+    would hold 2x and peak at 3x)."""
+    path = tmp_path / "d.bags"
+    save_dataset(make_dataset(num_objects=8, views=2, n=32), path)
+    pixel_bytes = 8 * 2 * 32 * 3 * 32 * 32 * 4
+    tracemalloc.start()
+    try:
+        loaded = load_dataset(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.bags[0].pixels.base.nbytes == pixel_bytes
+    assert held <= 1.05 * pixel_bytes
+    assert peak <= 2.1 * pixel_bytes
 
 
 def test_build_dataset_rejects_bad_radius_before_rendering(monkeypatch):
@@ -415,18 +439,19 @@ def _dataset_digest(seed, bag_size, image_size, patch_radius):
     return digest.hexdigest()
 
 
-# Bags of 4 at 256 px with radius 8, recorded before build_dataset called
-# fast_detect and extract_bag directly.
+# Bags of 4 at 256 px with radius 8. Recorded over the float32 rounding of
+# the float64 bags that build_dataset made before bags stored float32 (the
+# values a save and load gave), so the digest widens them back to float64.
 DATASET_DIGESTS = {
-    0: "5314c577e22effcb677bbb754d91cb223abf31d51c9dfe47048c6e23c62cf651",
-    5: "7cbab5b9a90f6e07ca4f9e5b11776a90a7147cd0f4b624ef8f0415866ea081c5",
+    0: "466f60cc27c8d52b3e01b9900d2737c08ed52f9fc3cc46ebef5d5944e52c5e73",
+    5: "34ec9a068ca768a01a903d29530b813cbc02d8263a6bf8632aa68e4c6ba734b0",
 }
 
 # Bags of 32 at gen-data's own 512 px and radius 16, where each patch is
-# its crop unresampled; recorded before warps rendered in row blocks.
+# its crop unresampled; recorded the same way.
 GEN_DATASET_DIGESTS = {
-    0: "f11e6da9f8283bd32a4ecdc765c3589708316d70bd3e0a219180828f13a7efaf",
-    5: "bc5eb2ec29f147bfb53a41c186f541dbb70202e4cdac9f33989eeaf9d8b0cb86",
+    0: "42d72a43e9171fce9964c9f9d9a70242464ed6660ca9fc3076de66cfbe503387",
+    5: "f15884ca717fe1c09df69b4fd659f5762873590993dfda1ab51bcb4283584185",
 }
 
 
@@ -445,13 +470,19 @@ def test_patch_bag_validates():
     bag = PatchBag(0, 0, pixels, [(1, 2), (3, 4)])
     assert bag.n == 2
     assert bag.pixel_stack() is bag.pixels
+    assert bag.pixels.dtype == np.float32
+    assert np.array_equal(bag.pixels, pixels.astype(np.float32))
+    narrow = pixels.astype(np.float32)
+    assert PatchBag(0, 0, narrow).pixels is narrow  # float32 is kept, not copied
     with pytest.raises(ShapeError):
         PatchBag(0, 0, np.zeros((2, 3, 16, 16)))
     with pytest.raises(ShapeError):
         PatchBag(0, 0, np.zeros((3, 32, 32)))  # one patch, not a stack
     with pytest.raises(DataError, match="at least one"):
         PatchBag(0, 0, np.zeros((0, 3, 32, 32)))
-    for value in (-0.5, 1.5, np.nan, np.inf):
+    # the float64 values are checked before narrowing: 1 + 1e-9 and -1e-46
+    # would round into [0, 1] in float32, and 1e39 to inf
+    for value in (-0.5, 1.5, np.nan, np.inf, 1 + 1e-9, -1e-46, 1e39):
         bad = pixels.copy()
         bad[1, 2, 3, 4] = value
         with pytest.raises(DataError, match=r"\[0, 1\]"):
@@ -557,10 +588,9 @@ def test_dataset_round_trip(tmp_path):
     for a, b in zip(ds.bags, loaded.bags):
         assert (a.object_id, a.view_id) == (b.object_id, b.view_id)
         assert b.keypoints is None
-        # float32 on disk: round trip is exact after one quantization
-        assert np.array_equal(
-            b.pixel_stack(), a.pixel_stack().astype(np.float32).astype(np.float64)
-        )
+        # bags hold the float32 values the file stores: the round trip is exact
+        assert b.pixel_stack().dtype == a.pixel_stack().dtype == np.float32
+        assert np.array_equal(b.pixel_stack(), a.pixel_stack())
     # a second round trip is bit-exact
     path2 = tmp_path / "bags2.dat"
     save_dataset(loaded, path2)

@@ -142,6 +142,18 @@ def test_describe_matches_forward():
     assert np.max(np.abs(a - b)) < 1e-12
 
 
+def test_float32_pixels_give_the_float64_bits():
+    """The net widens float32 pixels at its input, so every descriptor
+    equals that of the same values passed as float64."""
+    net = init_net(4, channels=REDUCED_CHANNELS, descriptor_dim=REDUCED_DESCRIPTOR_DIM)
+    narrow = np.random.default_rng(10).uniform(0, 1, (DESCRIBE_CHUNK + 3, 3, 32, 32))
+    narrow = narrow.astype(np.float32)
+    wide = narrow.astype(np.float64)
+    assert np.array_equal(forward(net, narrow[0]).data, forward(net, wide[0]).data)
+    assert np.array_equal(forward_bag(net, narrow[:5]).data, forward_bag(net, wide[:5]).data)
+    assert np.array_equal(describe(net, narrow), describe(net, wide))
+
+
 def test_forward_over_frozen_leaves_records_no_graph():
     net = init_net(4, channels=REDUCED_CHANNELS, descriptor_dim=REDUCED_DESCRIPTOR_DIM)
     frozen = DescriptorNet(
@@ -175,6 +187,22 @@ def test_describe_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 22e6
+
+
+def test_describe_widens_one_chunk_at_a_time():
+    """A float32 stack of eight chunks is never widened whole: the traced
+    peak (about 23 MB) stays below the 50 MB that a float64 copy of the
+    stack alone would take."""
+    net = init_net(4, channels=REDUCED_CHANNELS, descriptor_dim=REDUCED_DESCRIPTOR_DIM)
+    stack = np.random.default_rng(20).uniform(0, 1, (8 * DESCRIBE_CHUNK, 3, 32, 32))
+    stack = stack.astype(np.float32)
+    tracemalloc.start()
+    try:
+        describe(net, stack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stack.size * np.dtype(np.float64).itemsize
 
 
 def test_load_rejects_header_without_newline_quickly(tmp_path):

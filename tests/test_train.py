@@ -14,6 +14,7 @@ from bagdesc.net import (
     init_net,
 )
 from bagdesc.tensor import Tensor
+import bagdesc.train as train_module
 from bagdesc.train import (
     RMSPROP_DECAY,
     RMSPROP_EPS,
@@ -124,6 +125,21 @@ def test_triplet_loss_matches_per_bag_forward():
     assert got == pytest.approx(want, abs=1e-10)
 
 
+def test_triplet_loss_on_float32_bags_equals_float64():
+    """Bags hold float32 and the net widens them at its input, so the loss
+    and every gradient equal those of the same values held as float64."""
+    net = init_net(3, channels=REDUCED_CHANNELS, descriptor_dim=REDUCED_DESCRIPTOR_DIM)
+    t = make_triplet(np.random.default_rng(12), n=5)
+    loss32, grads32 = triplet_loss(net, t, MatchConfig())
+    for bag in (t.anchor, t.positive, t.negative):
+        assert bag.pixels.dtype == np.float32
+        bag.pixels = bag.pixels.astype(np.float64)  # past PatchBag's narrowing
+    loss64, grads64 = triplet_loss(net, t, MatchConfig())
+    assert loss32 == loss64
+    for name, g in grads64.items():
+        assert np.array_equal(grads32[name], g), name
+
+
 def test_triplet_loss_invariant_to_patch_permutation():
     rng = np.random.default_rng(6)
     t = make_triplet(rng, n=5)
@@ -189,6 +205,29 @@ def test_rmsprop_rejects_non_finite_and_names_layer():
     params = {"conv1_w": Tensor(np.zeros(2))}
     with pytest.raises(FloatingPointError, match="conv1_w"):
         rmsprop_step(params, {"conv1_w": np.array([np.nan, 1.0])}, {}, 0.1)
+
+
+def test_train_names_round_iteration_and_layer_of_a_non_finite_gradient(monkeypatch):
+    """conv2_w's gradient turns NaN from round 1, iteration 0 on: two
+    iterations of two triplets per round, one worker, so from call 4."""
+    real = train_module.triplet_loss
+    calls = []
+
+    def poisoned(net, triplet, cfg):
+        loss, grads = real(net, triplet, cfg)
+        if len(calls) >= 4:
+            grads["conv2_w"][0, 0, 0, 0] = np.nan
+        calls.append(loss)
+        return loss, grads
+
+    monkeypatch.setattr(train_module, "triplet_loss", poisoned)
+    cfg = TrainConfig(iters_per_round=2, triplets_per_round=4, batch_size=2, rounds=3, val_triplets=2)
+    trainset = make_dataset(n=3)
+    valset = make_dataset(n=3, first_object_id=10)
+    message = "^round 1, iteration 0: non-finite gradient in layer conv2_w$"
+    with pytest.raises(FloatingPointError, match=message):
+        train(trainset, valset, cfg)
+    assert len(calls) == 6
 
 
 def test_run_round_zero_iters_leaves_net_unchanged():
