@@ -31,6 +31,7 @@ from .data import (
     load_dataset,
     save_dataset,
 )
+from .files import atomic_write
 from .matching import MatchConfig
 from .net import init_net, load_net, save_net
 from .retrieval import (
@@ -174,10 +175,11 @@ def _train_config(cfg: dict) -> TrainConfig:
 def _write_manifest(out_dir: Path, name: str, cfg: dict, extra: dict) -> None:
     payload = {"config": cfg}
     payload.update(extra)
-    (out_dir / name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with atomic_write(out_dir / name, "w") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_gen_data(cfg: dict, out_dir: Path) -> None:
+def cmd_gen_data(cfg: dict, out_dir: Path, workers: int) -> None:
     d = cfg["data"]
     counts = _split_counts(d)
     data_seed = int(split_seed(cfg["seed"])[0].generate_state(1)[0])
@@ -193,6 +195,7 @@ def cmd_gen_data(cfg: dict, out_dir: Path) -> None:
             patch_radius=d["patch_radius"],
             first_object_id=first_id,
             split=split,
+            workers=workers,
         )
         first_id += counts[split]
         path = out_dir / f"{split}.bags"
@@ -311,9 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=_usable_cpus(),
-        help="worker threads for training batches, validation, and describing bags in "
-        "eval-match, eval-vlad and sweep-tau; gen-data, k-means and ranking run on one "
-        "thread, and results do not depend on the count. Pin BLAS to one thread "
+        help="workers: threads for training batches, validation, and describing bags in "
+        "eval-match, eval-vlad and sweep-tau; forked processes for gen-data, which renders "
+        "one object per task (in-process at 1); k-means and ranking run on one thread. "
+        "Results do not depend on the count. Pin BLAS to one thread "
         "(OPENBLAS_NUM_THREADS=1) when using several (default: the CPUs this process "
         "may use, %(default)s)",
     )
@@ -351,7 +355,7 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         data_dir = getattr(args, "data", None) or out_dir
         if args.command == "gen-data":
-            cmd_gen_data(cfg, out_dir)
+            cmd_gen_data(cfg, out_dir, args.threads)
         elif args.command == "train":
             cmd_train(cfg, out_dir, data_dir, args.threads)
         else:

@@ -15,12 +15,15 @@ Coordinates are (x, y) = (column, row) throughout; homographies act on
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .files import atomic_write
 from .net import PATCH_SHAPE
 from .tensor import ShapeError
 
@@ -539,6 +542,46 @@ def extract_bag(scene: SceneImage, n: int, patch_radius: int = PATCH_RADIUS) -> 
 # Datasets
 
 
+def _object_bags(
+    seed: int, views: int, bag_size: int, image_size: int, patch_radius: int, object_id: int
+) -> list[PatchBag]:
+    """Bags of every view of one object, from its first scene that yields them.
+
+    Attempt k renders from SeedSequence([seed, object_id, k]), so an object's
+    bags depend on nothing but these arguments. A scene with a view that
+    lacks `bag_size` usable corners is regenerated; MAX_SCENE_ATTEMPTS
+    failures is an error naming the object.
+    """
+    for attempt in range(MAX_SCENE_ATTEMPTS):
+        scene_seed = int(np.random.SeedSequence([seed, object_id, attempt]).generate_state(1)[0])
+        scenes = generate_scene(scene_seed, views, size=image_size, object_id=object_id)
+        try:
+            return [extract_bag(scene, bag_size, patch_radius) for scene in scenes]
+        except DataError:
+            continue
+    raise DataError(
+        f"object {object_id}: no scene with {bag_size} usable corners per view "
+        f"after {MAX_SCENE_ATTEMPTS} attempts"
+    )
+
+
+def _fork_pool(workers: int):
+    """An executor of `workers` forked processes, or None where the platform
+    cannot fork.
+
+    Forked children start from this process's imported modules, with no
+    re-import and no `__main__` guard, and hand their heap back to the
+    system when they exit. multiprocessing is imported here because loading
+    it costs a fresh interpreter about 60 ms that only a pool needs.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+
+
 def build_dataset(
     num_objects: int,
     views_per_object: int,
@@ -549,6 +592,7 @@ def build_dataset(
     patch_radius: int = PATCH_RADIUS,
     first_object_id: int = 0,
     split: str = "",
+    workers: int = 1,
 ) -> BagDataset:
     """Generate `num_objects` scenes and bag every view.
 
@@ -556,38 +600,38 @@ def build_dataset(
     `bag_size` usable corners in every view are regenerated from a derived
     seed (never padded); more than MAX_SCENE_ATTEMPTS failures for one
     object is an error. Each object's bags are copied into one float32
-    [objects*views, n, 3, 32, 32] split array as the object finishes, and
-    every bag's pixels are a view of it, as in `load_dataset`. So a built
-    bag holds the float32 values that saving and loading it gives.
+    [objects*views, n, 3, 32, 32] split array, in object order, and every
+    bag's pixels are a view of it, as in `load_dataset`. So a built bag
+    holds the float32 values that saving and loading it gives.
+
+    Objects are rendered one per task. At one worker, and on platforms
+    without the `fork` start method, they render in this process; otherwise
+    on min(workers, num_objects) forked worker processes, which return only
+    bags and have all exited when this returns or raises. No random stream
+    is shared between objects, so the bytes do not depend on `workers`.
     """
     if num_objects < 1 or views_per_object < 2:
         raise DataError("need at least 1 object and 2 views per object")
+    if workers < 1:
+        raise DataError(f"need at least 1 worker, got {workers}")
     check_bag_settings(bag_size, patch_radius)
+    render = functools.partial(
+        _object_bags, seed, views_per_object, bag_size, image_size, patch_radius
+    )
+    object_ids = range(first_object_id, first_object_id + num_objects)
+    workers = min(workers, num_objects)
+    pool = _fork_pool(workers) if workers > 1 else None
     pixels = np.empty((num_objects * views_per_object, bag_size, *PATCH_SHAPE), np.float32)
     bags: list[PatchBag] = []
-    for index in range(num_objects):
-        object_id = first_object_id + index
-        for attempt in range(MAX_SCENE_ATTEMPTS):
-            scene_seed = int(
-                np.random.SeedSequence([seed, object_id, attempt]).generate_state(1)[0]
-            )
-            scenes = generate_scene(
-                scene_seed, views_per_object, size=image_size, object_id=object_id
-            )
-            try:
-                candidate = [extract_bag(scene, bag_size, patch_radius) for scene in scenes]
-            except DataError:
-                continue
-            for bag in candidate:
+    # When a worker's result raises, `map` cancels the tasks not yet started,
+    # and leaving the block waits for the running ones and joins every process.
+    with pool or contextlib.nullcontext():
+        results = pool.map(render, object_ids) if pool else map(render, object_ids)
+        for object_bags in results:
+            for bag in object_bags:
                 pixels[len(bags)] = bag.pixels
                 bag.pixels = pixels[len(bags)]
                 bags.append(bag)
-            break
-        else:
-            raise DataError(
-                f"object {object_id}: no scene with {bag_size} usable corners per view "
-                f"after {MAX_SCENE_ATTEMPTS} attempts"
-            )
     return BagDataset(bags, bag_size, split)
 
 
@@ -616,7 +660,8 @@ def save_dataset(dataset: BagDataset, path) -> None:
     """Write magic, a JSON header, then fixed-size little-endian bag records.
 
     Each record is three uint32 (object id, view id, n) and the bag's
-    float32 pixel values as they are held, so the bytes round-trip.
+    float32 pixel values as they are held, so the bytes round-trip. The
+    file appears only once complete (`files.atomic_write`).
     """
     counts = {len(v) for v in dataset.by_object.values()}
     if len(counts) != 1:
@@ -628,7 +673,7 @@ def save_dataset(dataset: BagDataset, path) -> None:
         "n": dataset.bag_size,
         "patch_side": PATCH_SIDE,
     }
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(DATASET_MAGIC)
         fh.write((json.dumps(header) + "\n").encode("ascii"))
         for bag in dataset.bags:

@@ -15,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .files import atomic_write
 from .tensor import (
     DegenerateInputError,
     ShapeError,
@@ -190,11 +191,12 @@ def save_net(net: DescriptorNet, path) -> None:
     """Write magic, a JSON header (shapes + count), then float32 parameters.
 
     Parameters are stored little-endian float32 in layer order (weights then
-    bias), row-major; they widen back to float64 on load.
+    bias), row-major; they widen back to float64 on load. The file appears
+    only once complete (`files.atomic_write`).
     """
     shapes = [list(net.params[name].data.shape) for name in net.PARAM_NAMES]
     header = json.dumps({"shapes": shapes, "count": net.param_count}) + "\n"
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(MODEL_MAGIC)
         fh.write(header.encode("ascii"))
         for name in net.PARAM_NAMES:

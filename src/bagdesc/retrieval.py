@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import BagDataset
+from .files import atomic_write
 from .matching import ROW_NORM_TOL, GramPair, hard_match_score
 from .net import DescriptorNet, describe_bags
 # Unused here, but perfbench/tracer.py wraps this name in this module.
@@ -268,8 +269,9 @@ def vlad_retrieve(
 
 
 def write_score_rows(path, header: list[str], rows) -> None:
-    """Plain-text CSV with repr-formatted floats (byte-stable)."""
-    with open(path, "w", newline="") as fh:
+    """Plain-text CSV with repr-formatted floats (byte-stable), which
+    appears only once complete (`files.atomic_write`)."""
+    with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:

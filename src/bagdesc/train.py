@@ -19,7 +19,7 @@ import numpy as np
 from .data import BagDataset, BagTriplet, sample_triplet
 from .matching import GramPair, MatchConfig, soft_match_backward, soft_match_score
 from .net import DescriptorNet, describe_bags, forward_bag, init_net
-from .tensor import Tensor
+from .tensor import DegenerateInputError, Tensor
 # Unused here, but perfbench/tracer.py wraps this name in this module.
 from .net import describe  # noqa: F401
 
@@ -190,20 +190,21 @@ def run_round(
     """One round: sample a triplet pool, run the configured rmsprop iterations.
 
     Returns the mean training loss over the iterations (NaN when there are none).
-    A non-finite gradient raises FloatingPointError naming the iteration
-    and the layer.
+    A non-finite gradient (FloatingPointError, naming the layer) or a
+    degenerate descriptor (DegenerateInputError) is re-raised with the
+    iteration prefixed.
     """
     pool = [sample_triplet(trainset, rng) for _ in range(cfg.triplets_per_round)]
     losses = []
     for iteration in range(cfg.iters_per_round):
         chosen = rng.choice(len(pool), size=cfg.batch_size, replace=False)
         batch = [pool[i] for i in chosen]
-        mean_loss, grads = _batch_gradients(net, batch, cfg.match, threads)
-        losses.append(mean_loss)
         try:
+            mean_loss, grads = _batch_gradients(net, batch, cfg.match, threads)
             rmsprop_step(net.params, grads, state, lr)
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"iteration {iteration}: {exc}") from exc
+        except (FloatingPointError, DegenerateInputError) as exc:
+            raise type(exc)(f"iteration {iteration}: {exc}") from exc
+        losses.append(mean_loss)
     return float(np.mean(losses)) if losses else float("nan")
 
 
@@ -251,7 +252,8 @@ def train(
     round sampling, and the fixed list of `cfg.val_triplets` validation
     triplets, which is drawn once from `valset`. A non-finite gradient
     stops the run with a FloatingPointError naming the round, the iteration
-    and the layer.
+    and the layer; a degenerate descriptor stops it with a
+    DegenerateInputError naming the round and the iteration, or "validation".
     """
     if set(valset.object_ids) & set(trainset.object_ids):
         raise ValueError("train and validation object ids must be disjoint")
@@ -272,9 +274,13 @@ def train(
     for round_index in range(cfg.rounds):
         try:
             train_loss = run_round(net, trainset, cfg, sample_rng, state, lr, threads)
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"round {round_index}, {exc}") from exc
-        report = RoundReport(round_index, train_loss, validate(net, val_list, cfg.match, threads), lr)
+        except (FloatingPointError, DegenerateInputError) as exc:
+            raise type(exc)(f"round {round_index}, {exc}") from exc
+        try:
+            val_loss = validate(net, val_list, cfg.match, threads)
+        except DegenerateInputError as exc:
+            raise DegenerateInputError(f"round {round_index}, validation: {exc}") from exc
+        report = RoundReport(round_index, train_loss, val_loss, lr)
         curves.append(report)
         if report.val_loss < best_loss:
             best_loss = report.val_loss

@@ -3,7 +3,10 @@
 import hashlib
 import inspect
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,8 @@ from bagdesc import net as net_module
 from bagdesc import train as train_module
 from bagdesc.cli import DEFAULT_CONFIG, build_parser, main, resolve_config, ConfigError
 from bagdesc.data import MAX_KEYPOINTS, build_dataset, extract_bag, generate_scene, load_dataset
-from bagdesc.net import init_net, load_net, save_net
+from bagdesc.net import DescriptorNet, init_net, load_net, save_net
+from bagdesc.tensor import Tensor
 
 TINY = {
     "seed": 3,
@@ -287,6 +291,31 @@ def test_non_finite_gradient_fails_train_and_writes_nothing(generated, tmp_path,
     assert not (out / "curves.csv").exists()
 
 
+def test_degenerate_descriptor_fails_train_and_writes_nothing(generated, tmp_path, monkeypatch, capsys):
+    """From round 1, iteration 0 on, triplet_loss sees a net of zeros, whose
+    descriptors l2_normalize rejects; the run stops and names where."""
+    data, _ = generated
+    cfg = write_config(tmp_path, {"train": {"rounds": 2}})
+    real = train_module.triplet_loss
+    calls = []
+
+    def degenerate(net, triplet, match_cfg):
+        calls.append(triplet)
+        if len(calls) > 4:
+            zeros = {name: Tensor(np.zeros_like(p.data)) for name, p in net.params.items()}
+            net = DescriptorNet(zeros, net.channels, net.descriptor_dim)
+        return real(net, triplet, match_cfg)
+
+    monkeypatch.setattr(train_module, "triplet_loss", degenerate)
+    out = tmp_path / "out"
+    argv = ["--config", str(cfg), "--out", str(out), "--threads", "1", "train", "--data", str(data)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: round 1, iteration 0: cannot normalize vector with norm 0" in err
+    assert not (out / "model.net").exists()
+    assert not (out / "curves.csv").exists()
+
+
 def test_train_with_zero_iterations_writes_nan_train_loss(generated, tmp_path):
     out, _ = generated
     run = tmp_path / "idle"
@@ -390,6 +419,47 @@ def test_vlad_dim_k_list_248(generated, tmp_path):
     rows = (run / "eval_vlad_test.csv").read_text().strip().splitlines()[1:]
     dims = [tuple(int(v) for v in r.split(",")[:2]) for r in rows]
     assert dims == [(2, 128), (4, 256), (8, 512)]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_gen_data_bytes_do_not_depend_on_workers(tmp_path, threads):
+    """One worker renders in-process, two on forked worker processes."""
+    cfg = write_config(tmp_path, EVAL_OVERRIDES)
+    data = tmp_path / "data"
+    assert main(["--config", str(cfg), "--out", str(data), "--threads", threads, "gen-data"]) == 0
+    for name, digest in BAGS_DIGESTS.items():
+        assert hashlib.sha256((data / name).read_bytes()).hexdigest() == digest, name
+    assert multiprocessing.active_children() == []
+
+
+def test_gen_data_workers_start_from_a_fresh_interpreter(tmp_path):
+    """The command run as a script, as a user runs it, forks its workers
+    from a process with no `__main__` guard of its own and writes the
+    same bytes."""
+    cfg = write_config(tmp_path, EVAL_OVERRIDES)
+    data = tmp_path / "data"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["--config", str(cfg), "--out", str(data), "--threads", "2", "gen-data"]
+    subprocess.run(
+        [sys.executable, "-m", "bagdesc.cli", *argv], env=env, check=True, timeout=300
+    )
+    for name, digest in BAGS_DIGESTS.items():
+        assert hashlib.sha256((data / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_failing_object_in_a_worker_fails_gen_data(tmp_path, monkeypatch, capsys):
+    """At one attempt per object, TINY's object 1 finds no scene with 30
+    corners 12 px from the border; its worker's error reaches the CLI."""
+    monkeypatch.setattr(data_module, "MAX_SCENE_ATTEMPTS", 1)
+    cfg = write_config(tmp_path, {"data": {"bag_size": 30, "patch_radius": 12}})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--threads", "2", "gen-data"]) == 1
+    err = capsys.readouterr().err
+    assert "error: object 1: no scene with 30 usable corners per view after 1 attempts" in err
+    assert list(out.iterdir()) == []
+    assert multiprocessing.active_children() == []
 
 
 def test_invalid_config_fails_before_writing(tmp_path):

@@ -1,6 +1,8 @@
 """Synthetic scenes, FAST corners, patch bags, dataset files."""
 
+import concurrent.futures
 import hashlib
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -429,10 +431,12 @@ def test_build_dataset_rejects_bad_radius_before_rendering(monkeypatch):
     assert renders == []
 
 
-def _dataset_digest(seed, bag_size, image_size, patch_radius):
+def _dataset_digest(seed, bag_size, image_size, patch_radius, workers=1):
     """SHA-256 over every bag's pixels and keypoints of a two-object dataset."""
     digest = hashlib.sha256()
-    built = build_dataset(2, 2, bag_size, seed, image_size=image_size, patch_radius=patch_radius)
+    built = build_dataset(
+        2, 2, bag_size, seed, image_size=image_size, patch_radius=patch_radius, workers=workers
+    )
     for bag in built.bags:
         digest.update(np.ascontiguousarray(bag.pixels, "<f8").tobytes())
         digest.update(np.asarray(bag.keypoints, "<i8").tobytes())
@@ -463,6 +467,35 @@ def test_build_dataset_bytes_are_pinned(seed):
 @pytest.mark.parametrize("seed", sorted(GEN_DATASET_DIGESTS))
 def test_build_dataset_bytes_are_pinned_at_gen_settings(seed):
     assert _dataset_digest(seed, 32, 512, 16) == GEN_DATASET_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(GEN_DATASET_DIGESTS))
+def test_build_dataset_on_two_workers_gives_the_pinned_bytes(seed):
+    assert _dataset_digest(seed, 32, 512, 16, workers=2) == GEN_DATASET_DIGESTS[seed]
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_built_bags_share_one_array():
+    built = build_dataset(3, 2, 4, seed=5, image_size=256, patch_radius=8, workers=2)
+    split = built.bags[0].pixels.base
+    assert split.shape == (6, 4, 3, 32, 32) and split.dtype == np.float32
+    assert all(np.shares_memory(bag.pixels, split) for bag in built.bags)
+    assert [(bag.object_id, bag.view_id) for bag in built.bags] == [
+        (o, v) for o in range(3) for v in range(2)
+    ]
+
+
+def test_build_dataset_renders_in_process_by_default_and_without_fork(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("build_dataset started worker processes")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    want = build_dataset(2, 2, 4, 3, image_size=256, patch_radius=8)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    got = build_dataset(2, 2, 4, 3, image_size=256, patch_radius=8, workers=2)
+    assert got.bags[0].pixels.base.tobytes() == want.bags[0].pixels.base.tobytes()
+    with pytest.raises(DataError, match="worker"):
+        build_dataset(2, 2, 4, 3, image_size=256, patch_radius=8, workers=0)
 
 
 def test_patch_bag_validates():

@@ -10,10 +10,11 @@ from bagdesc.matching import GramPair, MatchConfig, soft_match_score
 from bagdesc.net import (
     REDUCED_CHANNELS,
     REDUCED_DESCRIPTOR_DIM,
+    DescriptorNet,
     forward_bag,
     init_net,
 )
-from bagdesc.tensor import Tensor
+from bagdesc.tensor import DegenerateInputError, Tensor
 import bagdesc.train as train_module
 from bagdesc.train import (
     RMSPROP_DECAY,
@@ -228,6 +229,46 @@ def test_train_names_round_iteration_and_layer_of_a_non_finite_gradient(monkeypa
     with pytest.raises(FloatingPointError, match=message):
         train(trainset, valset, cfg)
     assert len(calls) == 6
+
+
+def _zero_net(net):
+    """A copy of `net` whose every parameter is zero, so its descriptors are too."""
+    params = {name: Tensor(np.zeros_like(p.data)) for name, p in net.params.items()}
+    return DescriptorNet(params, net.channels, net.descriptor_dim)
+
+
+def test_train_names_round_and_iteration_of_a_degenerate_descriptor(monkeypatch):
+    """From round 1, iteration 0 on (call 4, as above) triplet_loss sees a
+    net with zero parameters, so l2_normalize rejects its descriptors."""
+    real = train_module.triplet_loss
+    calls = []
+
+    def degenerate(net, triplet, cfg):
+        calls.append(triplet)
+        return real(_zero_net(net) if len(calls) > 4 else net, triplet, cfg)
+
+    monkeypatch.setattr(train_module, "triplet_loss", degenerate)
+    cfg = TrainConfig(iters_per_round=2, triplets_per_round=4, batch_size=2, rounds=3, val_triplets=2)
+    trainset = make_dataset(n=3)
+    valset = make_dataset(n=3, first_object_id=10)
+    message = "^round 1, iteration 0: cannot normalize vector with norm 0"
+    with pytest.raises(DegenerateInputError, match=message):
+        train(trainset, valset, cfg)
+
+
+def test_train_names_the_round_of_a_degenerate_validation_descriptor(monkeypatch):
+    real = train_module.describe_bags
+
+    def degenerate(net, stacks, threads=1):
+        return real(_zero_net(net), stacks, threads)
+
+    monkeypatch.setattr(train_module, "describe_bags", degenerate)
+    cfg = TrainConfig(iters_per_round=1, triplets_per_round=4, batch_size=2, rounds=2, val_triplets=2)
+    trainset = make_dataset(n=3)
+    valset = make_dataset(n=3, first_object_id=10)
+    message = "^round 0, validation: cannot normalize vector with norm 0"
+    with pytest.raises(DegenerateInputError, match=message):
+        train(trainset, valset, cfg)
 
 
 def test_run_round_zero_iters_leaves_net_unchanged():
