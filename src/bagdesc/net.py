@@ -125,16 +125,23 @@ def init_net(seed: int, channels=FULL_CHANNELS,
 def forward(net: DescriptorNet, patch) -> Tensor:
     """Descriptor of one patch ([3,32,32]) or a stack of patches ([B,3,32,32]).
 
-    The pixels (float32 as bags hold them, or float64) are widened to one
-    float64 array here, so every activation, gradient and descriptor is
-    float64. Returns a Tensor of shape [descriptor_dim] (or [B,
-    descriptor_dim]), with a gradient graph when the net's parameters
-    require a gradient; every row has unit norm. Raises DegenerateInputError when the
-    pre-normalization output vanishes.
+    The pixels (float32 as bags hold them, or float64) are widened to
+    float64 here, so every activation, gradient and descriptor is float64.
+    A stack is widened straight into the batch-innermost [3,32,32,B] layout
+    that conv1 reads, in one copy. Returns a Tensor of shape
+    [descriptor_dim] (or [B, descriptor_dim]), with a gradient graph when
+    the net's parameters require a gradient; every row has unit norm. Its
+    `backward` releases the graph's activations, so read none of them
+    afterwards. Raises DegenerateInputError when the pre-normalization
+    output vanishes.
     """
-    pixels = np.asarray(patch, dtype=np.float64)
+    pixels = np.asarray(patch)
     if pixels.shape != PATCH_SHAPE and pixels.shape[1:] != PATCH_SHAPE:
         raise ShapeError(f"expected patch shape {PATCH_SHAPE} (optionally batched), got {pixels.shape}")
+    if pixels.ndim == 4:
+        wide = np.empty(PATCH_SHAPE + pixels.shape[:1])
+        wide[...] = pixels.transpose(1, 2, 3, 0)
+        pixels = wide.transpose(3, 0, 1, 2)
     p = net.params
     x = Tensor(pixels, requires_grad=False)
     x = relu(conv2d(x, p["conv1_w"], p["conv1_b"], stride=1))

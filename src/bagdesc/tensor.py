@@ -9,11 +9,16 @@ differentiated with `Tensor.backward()`. Over inputs that all have
 `requires_grad=False` it records nothing, and its output holds no
 reference to them.
 
-Leaf Tensors (parameters and inputs) add every backward pass into `grad`;
-interior nodes are freed as the walk passes them, so a graph is
-backpropagated once. Convolution is valid (no padding) cross-correlation;
-maxpool routes the gradient to the first (row-major) argmax of each window.
-All arithmetic is 64-bit.
+Leaf Tensors (parameters and inputs) add every backward pass into `grad`.
+Each backward closure captures, when its op runs, exactly the arrays it
+will read, and `Tensor.backward` releases the `data` of every interior node
+but the root before it replays any closure, so an activation that no
+closure reads is freed before the walk starts and the rest as the walk
+passes them. Read an interior node's `data` before calling `backward`. A
+graph is backpropagated once; a second `backward` over it raises.
+Convolution is valid (no padding) cross-correlation; maxpool routes the
+gradient to the first (row-major) argmax of each window. All arithmetic is
+64-bit.
 
 Image activations are stored batch-innermost: conv2d, maxpool2x2 and their
 input gradients return [B,C,H,W] views of contiguous [C,H,W,B] memory, which
@@ -23,8 +28,10 @@ this one, so every window it copies is a contiguous run of B values.
 conv2d lowers a few output rows at a time: it copies their windows into one
 column buffer and multiplies that block into its rows of the output. Its
 backward rebuilds each block's columns from the saved input instead of
-keeping them, and relu and maxpool2x2 find their routing masks in backward,
-so an activation's `data` must not be mutated between forward and backward.
+keeping them. relu masks its gradient with its own output, which the next
+convolution keeps anyway, and maxpool2x2 keeps one int8 route per output
+instead of its input. A closure reads the arrays it captured, so mutating
+an activation's `data` between forward and backward changes the gradient.
 """
 
 from __future__ import annotations
@@ -70,9 +77,10 @@ class Tensor:
     requires a gradient too), and `backward` replays the closures in
     reverse topological order, adding into each parent's `grad`. Only a
     leaf (a Tensor no operation produced) keeps its `grad` afterwards.
+    `shape` outlives `data`, which `backward` releases on interior nodes.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "shape", "grad", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(
         self,
@@ -82,6 +90,7 @@ class Tensor:
         requires_grad: bool = True,
     ):
         self.data = np.asarray(data, dtype=np.float64)
+        self.shape = self.data.shape
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents = parents
@@ -92,12 +101,11 @@ class Tensor:
 
         That first array is kept, not copied, and later gradients are added
         into it in place: pass an array that nothing else holds or writes
-        (copy a view of a buffer first).
+        (copy a view of a buffer first). The node's closure may then scale
+        `grad` in place.
         """
-        if g.shape != self.data.shape:
-            raise ShapeError(
-                f"gradient shape {g.shape} does not match tensor shape {self.data.shape}"
-            )
+        if g.shape != self.shape:
+            raise ShapeError(f"gradient shape {g.shape} does not match tensor shape {self.shape}")
         if self.grad is None:
             self.grad = np.asarray(g, dtype=np.float64)
         else:
@@ -106,18 +114,20 @@ class Tensor:
     def backward(self, seed=None) -> None:
         """Propagate `seed` (default: ones) back through the graph.
 
-        Leaves add their gradient into `grad`. Each interior node, this one
-        included, drops its `grad`, closure and parents once its closure
-        has run, so its activations and gradients are freed during the
-        walk and the graph cannot be backpropagated again.
+        Leaves add their gradient into `grad`. Before any closure runs, every
+        interior node but this one drops its `data`: the closures captured
+        what they read when their ops ran, so an activation that none of
+        them reads is freed at once. Read such a node's `data` before this
+        call. Each interior node, this one included, drops its `grad`,
+        closure and parents once its closure has run, so the graph's
+        gradients are freed during the walk too. The graph is spent: a
+        second `backward` over any of its nodes raises RuntimeError.
         """
         if seed is None:
             seed = np.ones_like(self.data)
         seed = np.array(seed, dtype=np.float64)  # a copy: it becomes self.grad
-        if seed.shape != self.data.shape:
-            raise ShapeError(
-                f"seed shape {seed.shape} does not match output shape {self.data.shape}"
-            )
+        if seed.shape != self.shape:
+            raise ShapeError(f"seed shape {seed.shape} does not match output shape {self.shape}")
         order: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -128,10 +138,15 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward_fn is _spent:
+                raise RuntimeError(f"{node!r} belongs to a graph that was already backpropagated")
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 stack.append((parent, False))
+        for node in order:
+            if node._backward_fn is not None and node is not self:
+                node.data = None
         self.accumulate_grad(seed)
         while order:
             node = order.pop()
@@ -139,10 +154,16 @@ class Tensor:
                 continue  # a leaf keeps its gradient
             if node.grad is not None:
                 node._backward_fn(node.grad)
-            node.grad, node._backward_fn, node._parents = None, None, ()
+            node.grad, node._backward_fn, node._parents = None, _spent, ()
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape})"
+        return f"Tensor(shape={self.shape})"
+
+
+def _spent(grad: np.ndarray) -> None:
+    """The closure of a node that `backward` has passed: marks it spent, so
+    it is not mistaken for a leaf."""
+    raise RuntimeError("this graph was already backpropagated")
 
 
 def _node(out: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
@@ -230,7 +251,6 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
         dw_blk = np.empty(wmat.shape)
         dxs = np.zeros((c, h, w, b))
         buf = np.empty(buf_size)
-        dbuf = np.empty(buf_size)
         for y0, y1 in blocks:
             g_blk = gmat[:, y0 * run : y1 * run]
             cols = _block_cols(buf, xs, kh, kw, stride, y0, y1)
@@ -238,18 +258,18 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
             dw += dw_blk
             if not x.requires_grad:
                 continue
-            # W^T @ G is the block's column gradient; each kernel offset's
-            # rows add onto the input pixels that offset read.
-            dcols = dbuf[: cols.size].reshape(cols.shape)
-            np.matmul(wmat.T, g_blk, out=dcols)
-            dcols = dcols.reshape(c, kh, kw, y1 - y0, wo, b)
+            # W^T @ G is the block's column gradient, written over the
+            # columns the weight gradient has just read; each kernel
+            # offset's rows add onto the input pixels that offset read.
+            np.matmul(wmat.T, g_blk, out=cols)
+            dcols = cols.reshape(c, kh, kw, y1 - y0, wo, b)
             rows = stride * (y1 - y0)
             for i in range(kh):
                 r0 = stride * y0 + i
                 for j in range(kw):
                     dxs[:, r0 : r0 + rows : stride, j : j + stride * wo : stride] += dcols[:, i, j]
         bias.accumulate_grad(gmat.sum(axis=1))
-        weights.accumulate_grad(dw.reshape(weights.data.shape))
+        weights.accumulate_grad(dw.reshape(weights.shape))
         if x.requires_grad:
             dx = dxs.transpose(3, 0, 1, 2)
             x.accumulate_grad(dx[0] if squeeze else dx)
@@ -258,19 +278,29 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    """Elementwise max(0, x), NaN kept; gradient is zero where x <= 0 or NaN."""
+    """Elementwise max(0, x), NaN kept; gradient is zero where x <= 0 or NaN.
+
+    Backward masks with the output, not the input: out > 0 exactly where
+    x > 0 (NaN and -0.0 included), and the next layer usually keeps the
+    output anyway. The mask is multiplied into the gradient it is handed,
+    which is this node's own (see `Tensor.accumulate_grad`).
+    """
+    out = np.maximum(x.data, 0.0)
 
     def backward_fn(grad: np.ndarray) -> None:
-        x.accumulate_grad(grad * (x.data > 0))
+        grad *= out > 0
+        x.accumulate_grad(grad)
 
-    return _node(np.maximum(x.data, 0.0), (x,), backward_fn)
+    return _node(out, (x,), backward_fn)
 
 
 def maxpool2x2(x: Tensor) -> Tensor:
     """Non-overlapping 2x2 window maximum over [C,H,W] or [B,C,H,W].
 
     The backward pass routes each window's gradient to its first (row-major)
-    argmax position, as `np.argmax` picks it: the first NaN, if any.
+    argmax position, as `np.argmax` picks it: the first NaN, if any. That
+    route, one int8 per output, is found in forward when a graph is
+    recorded, so the closure does not keep the input.
     """
     xd, squeeze = _with_batch(x.data, 3)
     b, c, h, w = xd.shape
@@ -279,14 +309,17 @@ def maxpool2x2(x: Tensor) -> Tensor:
     xs = xd.transpose(1, 2, 3, 0)
     corners = [xs[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]
     peak = np.maximum(np.maximum(np.maximum(corners[0], corners[1]), corners[2]), corners[3])
+    out = peak.transpose(3, 0, 1, 2)
+    if not x.requires_grad:
+        return Tensor(out[0] if squeeze else out, requires_grad=False)
+    # The argmax is the number of leading corners that miss the maximum; a
+    # NaN corner never misses, and a NaN maximum is missed by every number.
+    misses = [(corner != peak) & (corner == corner) for corner in corners[:3]]
+    misses[1] &= misses[0]
+    misses[2] &= misses[1]
+    idx = misses[0].view(np.int8) + misses[1].view(np.int8) + misses[2].view(np.int8)
 
     def backward_fn(grad: np.ndarray) -> None:
-        # The argmax is the number of leading corners that miss the maximum; a
-        # NaN corner never misses, and a NaN maximum is missed by every number.
-        misses = [(corner != peak) & (corner == corner) for corner in corners[:3]]
-        misses[1] &= misses[0]
-        misses[2] &= misses[1]
-        idx = sum(m.view(np.int8) for m in misses)
         g = grad[None] if squeeze else grad
         gs = g.transpose(1, 2, 3, 0)
         dxs = np.empty((c, h, w, b), dtype=np.float64)
@@ -295,7 +328,6 @@ def maxpool2x2(x: Tensor) -> Tensor:
         dx = dxs.transpose(3, 0, 1, 2)
         x.accumulate_grad(dx[0] if squeeze else dx)
 
-    out = peak.transpose(3, 0, 1, 2)
     return _node(out[0] if squeeze else out, (x,), backward_fn)
 
 
@@ -309,13 +341,14 @@ def affine(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"input dimension {xd.shape[1]} does not match weights D_in {din}")
     if bias.data.shape != (dout,):
         raise ShapeError(f"bias shape {bias.data.shape} does not match D_out {dout}")
-    out = xd @ weights.data.T + bias.data
+    wd = weights.data
+    out = xd @ wd.T + bias.data
 
     def backward_fn(grad: np.ndarray) -> None:
         g = grad[None] if squeeze else grad
         bias.accumulate_grad(g.sum(axis=0))
         weights.accumulate_grad(g.T @ xd)
-        dx = g @ weights.data
+        dx = g @ wd
         x.accumulate_grad(dx[0] if squeeze else dx)
 
     return _node(out[0] if squeeze else out, (x, weights, bias), backward_fn)
@@ -345,15 +378,19 @@ def l2_normalize(x: Tensor) -> Tensor:
 
 
 def flatten(x: Tensor) -> Tensor:
-    """[C,H,W] -> [C*H*W], or [B,C,H,W] -> [B, C*H*W]."""
+    """[C,H,W] -> [C*H*W], or [B,C,H,W] -> [B, C*H*W].
+
+    The input gradient is batch-innermost, the layout conv2d reads without
+    a copy; the closure keeps only the input's shape.
+    """
     xd, squeeze = _with_batch(x.data, 3)
-    b = xd.shape[0]
+    b, c, h, w = xd.shape
     out = xd.reshape(b, -1)
 
     def backward_fn(grad: np.ndarray) -> None:
         g = grad[None] if squeeze else grad
-        dx = np.empty_like(xd)  # a copy of the view, in the input's layout
-        dx[...] = g.reshape(xd.shape)
+        dx = np.empty((c, h, w, b)).transpose(3, 0, 1, 2)
+        dx[...] = g.reshape(b, c, h, w)
         x.accumulate_grad(dx[0] if squeeze else dx)
 
     return _node(out[0] if squeeze else out, (x,), backward_fn)
@@ -361,10 +398,11 @@ def flatten(x: Tensor) -> Tensor:
 
 def sum_squares(x: Tensor) -> Tensor:
     """Scalar sum of squared entries (handy test objective)."""
-    out = np.sum(x.data * x.data)
+    xd = x.data
+    out = np.sum(xd * xd)
 
     def backward_fn(grad: np.ndarray) -> None:
-        x.accumulate_grad(2.0 * float(grad) * x.data)
+        x.accumulate_grad(2.0 * float(grad) * xd)
 
     return _node(out, (x,), backward_fn)
 

@@ -233,7 +233,8 @@ def test_conv2d_backward_after_another_conv_on_the_same_thread():
 
 def test_backward_hands_over_gradients_without_sharing_memory():
     """No leaf .grad aliases the caller's seed or another leaf's .grad, and
-    the walk frees the interior nodes, the root included."""
+    the walk frees the interior nodes, the root included: each is spent,
+    and every one but the root has released its data."""
     rng = np.random.default_rng(80)
     x = Tensor(rng.normal(size=(2, 3, 10, 10)))
     params = [
@@ -247,7 +248,10 @@ def test_backward_hands_over_gradients_without_sharing_memory():
     out.backward(seed)
 
     for node in (out, h):
-        assert node.grad is None and node._backward_fn is None and node._parents == ()
+        assert node.grad is None and node._parents == ()
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            node.backward(np.ones(node.shape))
+    assert h.data is None and out.data is not None
     grads = [t.grad for t in [x] + params]
     assert all(g is not None for g in grads)
     for i, g in enumerate(grads):
@@ -437,6 +441,22 @@ def test_gradients_accumulate_across_backward_calls():
     out = sum_squares(affine(Tensor(np.ones(3), requires_grad=False), single, Tensor(np.zeros(2))))
     out.backward()
     assert np.allclose(w.grad, 2.0 * single.grad)
+
+
+def test_second_backward_over_a_spent_graph_raises():
+    """A spent root is not mistaken for a leaf: backpropagating it again, or
+    a new graph built on it, raises and adds nothing to any gradient."""
+    w = Tensor(RNG.normal(size=(2, 3)))
+    b = Tensor(np.zeros(2))
+    out = sum_squares(affine(Tensor(np.ones(3), requires_grad=False), w, b))
+    out.backward()
+    first = w.grad.copy()
+    with pytest.raises(RuntimeError, match="already backpropagated"):
+        out.backward()
+    with pytest.raises(RuntimeError, match="already backpropagated"):
+        sum_squares(out).backward()
+    assert np.array_equal(w.grad, first)
+    assert out.grad is None
 
 
 def test_ops_over_inputs_without_gradient_record_no_graph():
