@@ -14,7 +14,6 @@ from bagdesc.matching import (
     hungarian_match_count,
     soft_match_backward,
     soft_match_score,
-    sqdist_matrix,
 )
 
 
@@ -36,8 +35,8 @@ def main():
     pair_match = GramPair(bag, matching)
     pair_other = GramPair(bag, unrelated)
     print("row-minimum squared distances:")
-    print(f"  matching bag : {sqdist_matrix(pair_match).min(axis=1).mean():.3f} (mean)")
-    print(f"  unrelated bag: {sqdist_matrix(pair_other).min(axis=1).mean():.3f} (mean)")
+    print(f"  matching bag : {pair_match.mins.mean():.3f} (mean)")
+    print(f"  unrelated bag: {pair_other.mins.mean():.3f} (mean)")
 
     tau = 0.5
     print(f"\nhard scores at tau={tau}: "

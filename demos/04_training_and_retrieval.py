@@ -1,33 +1,17 @@
 """End-to-end: generate data, train briefly, compare against random init.
 
-A deliberately small run (a few minutes on one core). The matching threshold
-is placed at the initial positive/negative distance boundary so the sigmoid
-starts in its active zone; watch the validation loss fall and the retrieval
-gap open up.
+A deliberately small run (a few minutes on one core). `calibrate_match`
+places the matching threshold at the initial network's boundary between
+positive and negative distances, so the sigmoid starts in its active zone;
+watch the validation loss fall and the retrieval gap open up.
 """
 
 import numpy as np
 
-from bagdesc.data import build_dataset, sample_triplet
-from bagdesc.matching import GramPair, MatchConfig, sqdist_matrix
-from bagdesc.net import describe, init_net
+from bagdesc.data import build_dataset
+from bagdesc.net import init_net
 from bagdesc.retrieval import build_match_index, kmeans, rank_and_score, sweep_tau, vlad_encode
-from bagdesc.train import TrainConfig, train
-
-
-def initial_distance_stats(net, dataset, seed, triplets=32):
-    rng = np.random.default_rng(seed)
-    descs, pos, neg = {}, [], []
-    for _ in range(triplets):
-        t = sample_triplet(dataset, rng)
-        for bag in (t.anchor, t.positive, t.negative):
-            key = (bag.object_id, bag.view_id)
-            if key not in descs:
-                descs[key] = describe(net, bag.pixel_stack())
-        a = descs[(t.anchor.object_id, t.anchor.view_id)]
-        pos.append(sqdist_matrix(GramPair(a, descs[(t.positive.object_id, t.positive.view_id)])).min(axis=1))
-        neg.append(sqdist_matrix(GramPair(a, descs[(t.negative.object_id, t.negative.view_id)])).min(axis=1))
-    return float(np.median(np.concatenate(pos))), float(np.median(np.concatenate(neg)))
+from bagdesc.train import TrainConfig, calibrate_match, train
 
 
 def vlad_nn(net, tuning, target, k=8):
@@ -43,15 +27,11 @@ def main():
     valset = build_dataset(3, 4, 12, seed=42, split="val", first_object_id=10)
     testset = build_dataset(6, 4, 12, seed=42, split="test", first_object_id=13)
 
-    probe = init_net(0)
-    pos_med, neg_med = initial_distance_stats(probe, trainset, seed=1)
-    tau = (pos_med + neg_med) / 2.0
-    beta = float(np.clip(2.2 / max(neg_med - pos_med, 0.03), 15.0, 45.0))
-    print(f"initial row-min distances: positive {pos_med:.3f}, negative {neg_med:.3f}")
-    print(f"-> matching threshold tau={tau:.3f}, sharpness beta={beta:.0f}")
+    match = calibrate_match(trainset, init_net(0), np.random.default_rng(1))
+    print(f"matching threshold tau={match.tau}, sharpness beta={match.beta}")
 
     cfg = TrainConfig(
-        match=MatchConfig(tau=tau, beta=beta),
+        match=match,
         batch_size=8,
         iters_per_round=12,
         triplets_per_round=150,

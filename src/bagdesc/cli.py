@@ -267,10 +267,13 @@ def cmd_eval_vlad(
     val_path, target_path = _dataset_paths(data_dir, "val", split)
     kmeans_seed = int(split_seed(cfg["seed"])[2].generate_state(1)[0])
     # One split in memory at a time: val is dropped once it is described.
-    pool = build_match_index(net, load_dataset(val_path, "val"), threads)
-    pool = pool.reshape(-1, net.descriptor_dim)
-    target = load_dataset(target_path, split)
+    target = load_dataset(val_path, "val")
     target_desc = build_match_index(net, target, threads)
+    pool = target_desc.reshape(-1, net.descriptor_dim)
+    if split != "val":  # otherwise val's descriptors are the target's
+        del target
+        target = load_dataset(target_path, split)
+        target_desc = build_match_index(net, target, threads)
     object_ids = [bag.object_id for bag in target.bags]
     rows = []
     for k in cfg["retrieval"]["k_list"]:

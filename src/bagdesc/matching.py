@@ -56,9 +56,11 @@ class MatchConfig:
 
 
 class GramPair:
-    """Two equal-size unit-row descriptor matrices and their Gram product."""
+    """Two equal-size unit-row descriptor matrices, their Gram product, and each
+    first-bag row's `nearest` second-bag row (np.argmin: the first on ties, which
+    fixes the subgradient) with its squared distance `mins`."""
 
-    __slots__ = ("desc1", "desc2", "gram")
+    __slots__ = ("desc1", "desc2", "gram", "nearest", "mins")
 
     def __init__(self, desc1: np.ndarray, desc2: np.ndarray):
         d1 = np.asarray(desc1, dtype=np.float64)
@@ -75,6 +77,9 @@ class GramPair:
         self.desc1 = d1
         self.desc2 = d2
         self.gram = d1 @ d2.T
+        d2sq = sqdist_matrix(self)
+        self.nearest = np.argmin(d2sq, axis=1)
+        self.mins = d2sq[np.arange(d1.shape[0]), self.nearest]
 
     @property
     def n(self) -> int:
@@ -98,20 +103,9 @@ def sqdist_matrix(pair: GramPair) -> np.ndarray:
     return 2.0 - 2.0 * pair.gram
 
 
-def _row_minima(pair: GramPair) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of the first bag: (argmin index, min value) of squared distance.
-
-    np.argmin takes the first index on ties, which fixes the subgradient.
-    """
-    d2 = sqdist_matrix(pair)
-    idx = np.argmin(d2, axis=1)
-    return idx, d2[np.arange(pair.n), idx]
-
-
 def hard_match_score(pair: GramPair, tau: float) -> float:
     """Fraction of first-bag rows with some second-bag row within tau."""
-    _, mins = _row_minima(pair)
-    return float(np.mean(mins <= tau))
+    return float(np.mean(pair.mins <= tau))
 
 
 def soft_match_score(pair: GramPair, cfg: MatchConfig) -> float:
@@ -120,8 +114,7 @@ def soft_match_score(pair: GramPair, cfg: MatchConfig) -> float:
     Only the threshold indicator is relaxed; the minimum stays exact, so the
     gradient flows through each row's (first) argmin entry alone.
     """
-    _, mins = _row_minima(pair)
-    return float(np.mean(soft_indicator(mins, cfg)))
+    return float(np.mean(soft_indicator(pair.mins, cfg)))
 
 
 def soft_match_backward(
@@ -134,12 +127,11 @@ def soft_match_backward(
     sigmoid value s; the two outputs are that sparse matrix times the
     opposite descriptor matrix (and its transpose times the first).
     """
-    idx, mins = _row_minima(pair)
-    sig = soft_indicator(mins, cfg)
+    sig = soft_indicator(pair.mins, cfg)
     coeff = upstream * (2.0 * cfg.beta / pair.n) * sig * (1.0 - sig)
-    d_desc1 = coeff[:, None] * pair.desc2[idx]
+    d_desc1 = coeff[:, None] * pair.desc2[pair.nearest]
     d_desc2 = np.zeros_like(pair.desc2)
-    np.add.at(d_desc2, idx, coeff[:, None] * pair.desc1)
+    np.add.at(d_desc2, pair.nearest, coeff[:, None] * pair.desc1)
     return d_desc1, d_desc2
 
 

@@ -171,7 +171,7 @@ def describe(net: DescriptorNet, pixels: np.ndarray) -> np.ndarray:
     on its own. Produces the same values as `forward` on each chunk.
     """
     stack = np.asarray(pixels)
-    if stack.ndim != 4 or stack.shape[1:] != PATCH_SHAPE:
+    if stack.ndim != 4 or stack.shape[1:] != PATCH_SHAPE or stack.shape[0] < 1:
         raise ShapeError(f"expected [B,3,32,32] pixels, got {stack.shape}")
     frozen = DescriptorNet(
         {name: Tensor(p.data, requires_grad=False) for name, p in net.params.items()},

@@ -198,7 +198,9 @@ def kmeans(
     if points.ndim != 2:
         raise ValueError(f"descriptors must be [m,d], got {points.shape}")
     m = points.shape[0]
-    if k < 1 or m < k:
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if m < k:
         raise ValueError(f"need at least k={k} points, got {m}")
     rng = np.random.Generator(np.random.PCG64(seed))
 

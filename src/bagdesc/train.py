@@ -31,6 +31,7 @@ __all__ = [
     "rmsprop_step",
     "run_round",
     "validate",
+    "calibrate_match",
     "train",
     "split_seed",
 ]
@@ -40,6 +41,8 @@ RATIO_EPSILON = 1e-6
 # rmsprop's squared-gradient decay and denominator guard.
 RMSPROP_DECAY = 0.9
 RMSPROP_EPS = 1e-8
+# Triplets whose initial distances `calibrate_match` measures.
+CALIBRATION_TRIPLETS = 48
 
 
 @dataclass(frozen=True)
@@ -208,36 +211,46 @@ def run_round(
     return float(np.mean(losses)) if losses else float("nan")
 
 
-def validate(
-    net: DescriptorNet, valset: list[BagTriplet], cfg: MatchConfig, threads: int = 1
-) -> float:
-    """Mean triplet loss over a fixed validation list; no updates.
-
-    Distinct bags are described once (the fixed list reuses bags heavily),
-    one bag per task on `threads` workers, which changes nothing about the
-    per-triplet losses.
+def _triplet_pairs(
+    net: DescriptorNet, triplets: list[BagTriplet], threads: int = 1
+) -> list[tuple[GramPair, GramPair]]:
+    """Each triplet's (anchor-positive, anchor-negative) GramPairs. Distinct
+    bags, keyed by (object id, view id), are described once (a triplet list
+    reuses bags heavily), one bag per task on `threads` workers.
     """
-    if not valset:
-        raise ValueError("validation set must not be empty")
-    keyed: dict[tuple[int, int], "object"] = {}
-    for t in valset:
+    keyed = {}
+    for t in triplets:
         for bag in (t.anchor, t.positive, t.negative):
             keyed.setdefault((bag.object_id, bag.view_id), bag)
     keys = sorted(keyed)
-    pixels = [keyed[key].pixel_stack() for key in keys]
-    descs = dict(zip(keys, describe_bags(net, pixels, threads)))
-    losses = []
-    for t in valset:
-        pair_pos = GramPair(
-            descs[(t.anchor.object_id, t.anchor.view_id)],
-            descs[(t.positive.object_id, t.positive.view_id)],
-        )
-        pair_neg = GramPair(
-            descs[(t.anchor.object_id, t.anchor.view_id)],
-            descs[(t.negative.object_id, t.negative.view_id)],
-        )
-        losses.append(ratio_loss(soft_match_score(pair_pos, cfg), soft_match_score(pair_neg, cfg)))
-    return float(np.mean(losses))
+    descs = dict(zip(keys, describe_bags(net, [keyed[key].pixel_stack() for key in keys], threads)))
+
+    def pair(a, b):
+        return GramPair(descs[(a.object_id, a.view_id)], descs[(b.object_id, b.view_id)])
+
+    return [(pair(t.anchor, t.positive), pair(t.anchor, t.negative)) for t in triplets]
+
+
+def validate(net: DescriptorNet, valset: list[BagTriplet], cfg: MatchConfig, threads: int = 1) -> float:
+    """Mean triplet loss over a fixed validation list, scored on the pairs of
+    `_triplet_pairs`; no updates."""
+    if not valset:
+        raise ValueError("validation set must not be empty")
+    pairs = _triplet_pairs(net, valset, threads)
+    return float(np.mean([ratio_loss(soft_match_score(p, cfg), soft_match_score(q, cfg)) for p, q in pairs]))
+
+
+def calibrate_match(trainset: BagDataset, net: DescriptorNet, rng: np.random.Generator) -> MatchConfig:
+    """tau and beta from `net`'s median positive and negative row minima over
+    CALIBRATION_TRIPLETS triplets drawn with `rng`: tau is their midpoint (at
+    least 0.01, to 4 places), so the sigmoids start unsaturated, and beta is
+    2.2 over their gap (at least 0.03), clipped to [15, 45] (to 2 places).
+    """
+    pairs = _triplet_pairs(net, [sample_triplet(trainset, rng) for _ in range(CALIBRATION_TRIPLETS)])
+    pos_med, neg_med = (float(np.median(np.concatenate([p[side].mins for p in pairs]))) for side in (0, 1))
+    tau = max((pos_med + neg_med) / 2.0, 0.01)
+    beta = float(np.clip(2.2 / max(neg_med - pos_med, 0.03), 15.0, 45.0))
+    return MatchConfig(tau=round(tau, 4), beta=round(beta, 2))
 
 
 def train(

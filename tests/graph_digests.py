@@ -3,10 +3,10 @@
 Run as a script (one BLAS thread, so the GEMMs sum in a fixed order), it
 prints a JSON object of digests: the loss and every parameter gradient of
 one `triplet_loss` on fixed float32 bags of 32 patches, `_batch_gradients`
-over four triplets at one and at two worker threads, and `describe` of the
-first triplet's anchor stack. `test_graph_memory.py` compares them with
-the digests recorded before the autograd graph stopped keeping unread
-activations.
+over four triplets at one and at two worker threads, `describe` of the
+first triplet's anchor stack, and `validate` over the same four triplets.
+`test_graph_memory.py` compares them with the digests recorded before the
+autograd graph stopped keeping unread activations.
 """
 
 import hashlib
@@ -17,7 +17,7 @@ import numpy as np
 from bagdesc.data import BagTriplet, PatchBag
 from bagdesc.matching import MatchConfig
 from bagdesc.net import DescriptorNet, describe, init_net
-from bagdesc.train import _batch_gradients, triplet_loss
+from bagdesc.train import _batch_gradients, triplet_loss, validate
 
 BAG_SIZE = 32
 # The sharpness keeps the sigmoids of init_net(0)'s distances unsaturated,
@@ -50,6 +50,7 @@ def digests() -> dict[str, str]:
         arrays = [loss] + [grads[name] for name in DescriptorNet.PARAM_NAMES]
         out[f"batch.threads{threads}"] = _sha(np.concatenate([np.ravel(a) for a in arrays]))
     out["describe"] = _sha(describe(net, batch[0].anchor.pixel_stack()))
+    out["validate"] = _sha(validate(net, batch, CFG))
     return out
 
 

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from bagdesc.cli import main as cli_main
-from bagdesc.data import build_dataset, fast_detect, sample_triplet
+from bagdesc.data import build_dataset, fast_detect
 from bagdesc.matching import (
     GramPair,
     MatchConfig,
@@ -370,35 +370,11 @@ PROXY_CONFIG = {
 }
 
 
-def _adaptive_match_section(trainset, init_seed, probe_seed):
-    """(tau, beta) centered on the initial positive/negative distance gap."""
-    probe = init_net(init_seed)
-    rng = np.random.default_rng(probe_seed)
-    descs = {}
-    pos, neg = [], []
-    for _ in range(48):
-        t = sample_triplet(trainset, rng)
-        for bag in (t.anchor, t.positive, t.negative):
-            key = (bag.object_id, bag.view_id)
-            if key not in descs:
-                descs[key] = describe(probe, bag.pixel_stack())
-        a = descs[(t.anchor.object_id, t.anchor.view_id)]
-        p = descs[(t.positive.object_id, t.positive.view_id)]
-        nb = descs[(t.negative.object_id, t.negative.view_id)]
-        pos.append(sqdist_matrix(GramPair(a, p)).min(axis=1))
-        neg.append(sqdist_matrix(GramPair(a, nb)).min(axis=1))
-    pos_med = float(np.median(np.concatenate(pos)))
-    neg_med = float(np.median(np.concatenate(neg)))
-    tau = max((pos_med + neg_med) / 2.0, 0.01)
-    beta = float(np.clip(2.2 / max(neg_med - pos_med, 0.03), 15.0, 45.0))
-    return {"tau": round(tau, 4), "beta": round(beta, 2)}
-
-
 def _run_pipeline(workdir: Path, config: dict, master_seed: int):
     """gen-data + train + eval-match + eval-vlad through the CLI, plus the
     same evaluations for a freshly initialized (untrained) model."""
     from bagdesc.data import load_dataset
-    from bagdesc.train import split_seed
+    from bagdesc.train import calibrate_match, split_seed
 
     workdir.mkdir(parents=True, exist_ok=True)
     config = json.loads(json.dumps(config))
@@ -412,7 +388,8 @@ def _run_pipeline(workdir: Path, config: dict, master_seed: int):
     trainset = load_dataset(workdir / "train.bags", "train")
     train_seed = int(split_seed(master_seed)[1].generate_state(1)[0])
     init_seed = int(split_seed(train_seed)[0].generate_state(1)[0])
-    config["match"] = _adaptive_match_section(trainset, init_seed, master_seed + 99)
+    match = calibrate_match(trainset, init_net(init_seed), np.random.default_rng(master_seed + 99))
+    config["match"] = {"tau": match.tau, "beta": match.beta}
     cfg_path.write_text(json.dumps(config))
 
     assert cli_main(base + ["train"]) == 0
@@ -434,10 +411,6 @@ def _run_pipeline(workdir: Path, config: dict, master_seed: int):
         rows = Path(path).read_text().strip().splitlines()[1:]
         return max(float(r.split(",")[1]) for r in rows)
 
-    def sweep_best_nn(path):
-        rows = Path(path).read_text().strip().splitlines()[1:]
-        return max(float(r.split(",")[1]) for r in rows)
-
     def vlad_nn_at_k8(path):
         for row in Path(path).read_text().strip().splitlines()[1:]:
             parts = row.split(",")
@@ -446,12 +419,10 @@ def _run_pipeline(workdir: Path, config: dict, master_seed: int):
         raise AssertionError("no k=8 row")
 
     return {
+        "match": match,
         "val_losses": val_losses,
-        # best over the sweep grid: the threshold is tuned per model
-        "trained_nn": sweep_best_nn(workdir / "sweep_val.csv"),
         "trained_nn_test": best_nn(workdir / "eval_match_test.csv"),
         "random_nn_test": best_nn(rnd / "eval_match_test.csv"),
-        "random_sweep_nn": sweep_best_nn(rnd / "sweep_val.csv"),
         "trained_vlad_nn": vlad_nn_at_k8(workdir / "eval_vlad_test.csv"),
         "random_vlad_nn": vlad_nn_at_k8(rnd / "eval_vlad_test.csv"),
     }
@@ -473,6 +444,12 @@ def test_criterion_8_learning_trend_reduced_scale(trained_pipeline):
         f"(val {r['val_losses'][0]:.3f}->{r['val_losses'][-1]:.3f}, NN gap {gap:+.2f})",
         halved and gap >= 0.2,
     )
+
+
+def test_reduced_scale_pipeline_calibrates_tau_and_beta(trained_pipeline):
+    """Master seed 1 trains at the tau and beta its train split has always
+    calibrated to; beta sits at the clip."""
+    assert trained_pipeline["match"] == MatchConfig(tau=0.061, beta=45.0)
 
 
 @pytest.mark.skipif(

@@ -382,9 +382,11 @@ def test_eval_outputs_are_pinned(tmp_path):
         assert digests == EVAL_DIGESTS, f"--threads {threads}"
 
 
-def test_eval_match_on_val_describes_val_once(generated, tmp_path, monkeypatch):
-    """On val, the tau sweep's row at the best tau is the result, so no val
-    bag is described a second time; another split is described once more."""
+@pytest.mark.parametrize("command", ["eval-match", "eval-vlad"])
+def test_eval_on_val_describes_val_once(generated, tmp_path, monkeypatch, command):
+    """On val, eval-match's result is the tau sweep's row at the best tau and
+    eval-vlad's targets are its codebook pool, so no val bag is described a
+    second time; another split is described once more."""
     out, cfg = generated
     model = tmp_path / "init.net"
     save_net(init_net(0), model)
@@ -404,7 +406,7 @@ def test_eval_match_on_val_describes_val_once(generated, tmp_path, monkeypatch):
         described.clear()
         run = tmp_path / split
         assert main(
-            ["--config", str(cfg), "--out", str(run), "eval-match",
+            ["--config", str(cfg), "--out", str(run), command,
              "--data", str(out), "--model", str(model), "--split", split]
         ) == 0
         assert sum(described) == expected, split

@@ -90,6 +90,19 @@ def test_sqdist_matrix_matches_direct_distances():
         assert np.max(np.abs(sqdist_matrix(pair) - pairwise_sqdist_loop(pair.desc1, pair.desc2))) < 1e-9
 
 
+def test_gram_pair_finds_each_rows_nearest_neighbour_once():
+    """`nearest` and `mins` are, bit for bit, the argmin and the min of each
+    row of `sqdist_matrix`; among duplicate rows the first index wins."""
+    rng = np.random.default_rng(19)
+    first = unit_rows(rng.normal(size=(6, 16)))
+    tied = GramPair(first, first[[1, 1, 0, 0, 3, 3]])
+    for pair in (random_pair(rng, 6), tied):
+        d2 = sqdist_matrix(pair)
+        assert np.array_equal(pair.nearest, np.argmin(d2, axis=1))
+        assert np.array_equal(pair.mins, np.min(d2, axis=1))
+    assert list(tied.nearest[[0, 1, 3]]) == [2, 0, 4]
+
+
 def test_hard_match_score_cases():
     pair = random_pair(RNG, n=6)
     same = GramPair(pair.desc1, pair.desc1)

@@ -107,6 +107,12 @@ def test_forward_rejects_wrong_shape():
         forward(init_net(0), np.zeros((3, 16, 16)))
 
 
+def test_describe_rejects_an_empty_stack_as_forward_bag_does():
+    for reject in (describe, forward_bag):
+        with pytest.raises(ShapeError, match=r"got \(0, 3, 32, 32\)"):
+            reject(init_net(0), np.zeros((0, 3, 32, 32)))
+
+
 def test_zero_patch_with_zero_biases_is_degenerate():
     net = init_net(0)  # biases start at zero
     with pytest.raises(DegenerateInputError):

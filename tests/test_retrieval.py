@@ -283,8 +283,14 @@ def test_kmeans_distortion_monotone():
 
 
 def test_kmeans_rejects_m_below_k():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least k=5 points, got 3"):
         kmeans(RNG.normal(size=(3, 4)), 5, seed=0)
+
+
+def test_kmeans_rejects_k_below_one():
+    for k in (0, -1):
+        with pytest.raises(ValueError, match=f"k must be at least 1, got {k}"):
+            kmeans(RNG.normal(size=(5, 4)), k, seed=0)
 
 
 def test_kmeans_deterministic():

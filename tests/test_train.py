@@ -21,6 +21,7 @@ from bagdesc.train import (
     RMSPROP_EPS,
     TrainConfig,
     _batch_gradients,
+    calibrate_match,
     ratio_loss,
     rmsprop_step,
     run_round,
@@ -319,6 +320,36 @@ def test_validate_matches_triplet_loss_mean():
     batched = validate(net, triplets, cfg)
     naive = float(np.mean([triplet_loss(net, t, cfg)[0] for t in triplets]))
     assert batched == pytest.approx(naive, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "shared, own, expected",
+    [
+        (0.0, 0.8, MatchConfig(tau=1.2, beta=15.0)),  # beta clipped from below
+        (1.0, 0.0, MatchConfig(tau=0.01, beta=45.0)),  # no gap: tau floored, beta clipped from above
+        (0.85389, 0.035, MatchConfig(tau=0.2572, beta=31.43)),  # 0.25722 and 31.4286, rounded
+    ],
+)
+def test_calibrate_match_rounds_floors_and_clips(monkeypatch, shared, own, expected):
+    """tau is the midpoint of the median positive and negative row minima, at
+    least 0.01, to 4 places; beta is 2.2 over their gap (at least 0.03),
+    clipped to [15, 45], to 2 places. A patch of view v of object o is
+    described as sqrt(shared) z + sqrt(own) e_o + sqrt(rest) f_ov on orthonormal
+    axes, so positive row minima are 2 rest and negative ones 2 (own + rest)."""
+    rest = 1.0 - shared - own
+
+    def described(code):
+        obj, view = divmod(code, 10)
+        row = np.zeros(10)
+        row[0], row[1 + obj], row[4 + 2 * obj + view] = np.sqrt([shared, own, rest])
+        return row
+
+    def describe_bags(net, stacks, threads=1):
+        return [np.tile(described(round(float(s[0, 0, 0, 0]) * 100)), (len(s), 1)) for s in stacks]
+
+    monkeypatch.setattr(train_module, "describe_bags", describe_bags)
+    bags = [PatchBag(o, v, np.full((3, 3, 32, 32), (10 * o + v) / 100)) for o in range(3) for v in range(2)]
+    assert calibrate_match(BagDataset(bags, 3), None, np.random.default_rng(0)) == expected
 
 
 def _quick_cfg(**overrides):
