@@ -38,7 +38,7 @@ def main():
           f"keypoints like {bag.keypoints[:3]} ...")
 
     print("\nbuilding a 4-object dataset (2 views each) ...")
-    dataset = build_dataset(4, 2, 12, seed=3, split="demo")
+    dataset = build_dataset(4, 2, 12, seed=3)
     rng = np.random.default_rng(0)
     triplet = sample_triplet(dataset, rng)
     print(f"sampled triplet: anchor=({triplet.anchor.object_id}, view {triplet.anchor.view_id}), "

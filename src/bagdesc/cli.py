@@ -28,6 +28,7 @@ from .data import (
     DataError,
     build_dataset,
     check_bag_settings,
+    cut_splits,
     load_dataset,
     save_dataset,
 )
@@ -183,24 +184,14 @@ def cmd_gen_data(cfg: dict, out_dir: Path, workers: int) -> None:
     d = cfg["data"]
     counts = _split_counts(d)
     data_seed = int(split_seed(cfg["seed"])[0].generate_state(1)[0])
-    first_id = 0
-    files = {}
-    for split in ("train", "val", "test"):
-        dataset = build_dataset(
-            counts[split],
-            d["views"],
-            d["bag_size"],
-            data_seed,
-            image_size=d["image_size"],
-            patch_radius=d["patch_radius"],
-            first_object_id=first_id,
-            split=split,
-            workers=workers,
-        )
-        first_id += counts[split]
-        path = out_dir / f"{split}.bags"
-        save_dataset(dataset, path)
-        files[split] = path.name
+    # One corpus of every object, so no split is written until all have rendered.
+    corpus = build_dataset(
+        d["objects"], d["views"], d["bag_size"], data_seed,
+        image_size=d["image_size"], patch_radius=d["patch_radius"], workers=workers,
+    )
+    for split, dataset in cut_splits(corpus, counts).items():
+        save_dataset(dataset, out_dir / f"{split}.bags")
+    files = {split: f"{split}.bags" for split in counts}
     _write_manifest(out_dir, "manifest_gen_data.json", cfg, {"files": files, "object_counts": counts})
 
 

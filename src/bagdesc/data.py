@@ -40,6 +40,7 @@ __all__ = [
     "fast_detect",
     "extract_bag",
     "build_dataset",
+    "cut_splits",
     "sample_triplet",
     "save_dataset",
     "load_dataset",
@@ -590,19 +591,18 @@ def build_dataset(
     *,
     image_size: int = IMAGE_SIZE,
     patch_radius: int = PATCH_RADIUS,
-    first_object_id: int = 0,
-    split: str = "",
     workers: int = 1,
 ) -> BagDataset:
-    """Generate `num_objects` scenes and bag every view.
+    """Generate a corpus of objects 0..num_objects-1 and bag every view.
 
     Each view becomes a bag through `extract_bag`. Scenes that fail to yield
     `bag_size` usable corners in every view are regenerated from a derived
     seed (never padded); more than MAX_SCENE_ATTEMPTS failures for one
     object is an error. Each object's bags are copied into one float32
-    [objects*views, n, 3, 32, 32] split array, in object order, and every
+    [objects*views, n, 3, 32, 32] corpus array, in object order, and every
     bag's pixels are a view of it, as in `load_dataset`. So a built bag
-    holds the float32 values that saving and loading it gives.
+    holds the float32 values that saving and loading it gives. `cut_splits`
+    cuts disjoint splits from the corpus.
 
     Objects are rendered one per task. At one worker, and on platforms
     without the `fork` start method, they render in this process; otherwise
@@ -618,7 +618,6 @@ def build_dataset(
     render = functools.partial(
         _object_bags, seed, views_per_object, bag_size, image_size, patch_radius
     )
-    object_ids = range(first_object_id, first_object_id + num_objects)
     workers = min(workers, num_objects)
     pool = _fork_pool(workers) if workers > 1 else None
     pixels = np.empty((num_objects * views_per_object, bag_size, *PATCH_SHAPE), np.float32)
@@ -626,13 +625,26 @@ def build_dataset(
     # When a worker's result raises, `map` cancels the tasks not yet started,
     # and leaving the block waits for the running ones and joins every process.
     with pool or contextlib.nullcontext():
-        results = pool.map(render, object_ids) if pool else map(render, object_ids)
-        for object_bags in results:
+        for object_bags in (pool.map if pool else map)(render, range(num_objects)):
             for bag in object_bags:
                 pixels[len(bags)] = bag.pixels
                 bag.pixels = pixels[len(bags)]
                 bags.append(bag)
-    return BagDataset(bags, bag_size, split)
+    return BagDataset(bags, bag_size)
+
+
+def cut_splits(corpus: BagDataset, counts: dict[str, int]) -> dict[str, BagDataset]:
+    """Disjoint splits of a corpus, named and sized by `counts` in its order:
+    each takes the next objects in id order with every view, and its bags
+    are the corpus's own, views of the corpus array."""
+    if sum(counts.values()) != len(corpus.by_object):
+        raise DataError(f"split counts {counts} do not cover {len(corpus.by_object)} objects")
+    ids, start, splits = corpus.object_ids, 0, {}
+    for name, count in counts.items():
+        bags = [bag for oid in ids[start : start + count] for bag in corpus.by_object[oid]]
+        splits[name] = BagDataset(bags, corpus.bag_size, name)
+        start += count
+    return splits
 
 
 def sample_triplet(dataset: BagDataset, rng: np.random.Generator) -> BagTriplet:

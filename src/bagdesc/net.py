@@ -154,7 +154,7 @@ def forward(net: DescriptorNet, patch) -> Tensor:
 
 def forward_bag(net: DescriptorNet, pixels: np.ndarray) -> Tensor:
     """Stack of descriptors, one row per patch of the [n,3,32,32] pixels."""
-    stack = np.asarray(pixels, dtype=np.float64)
+    stack = np.asarray(pixels)
     if stack.ndim != 4 or stack.shape[0] < 1:
         raise ShapeError(f"expected [n,3,32,32] pixels, got {stack.shape}")
     return forward(net, stack)

@@ -117,13 +117,8 @@ def triplet_loss(net: DescriptorNet, triplet: BagTriplet, cfg: MatchConfig) -> t
     """
     params = {name: Tensor(p.data) for name, p in net.params.items()}
     n = triplet.anchor.n
-    stacked = np.concatenate(
-        [
-            triplet.anchor.pixel_stack(),
-            triplet.positive.pixel_stack(),
-            triplet.negative.pixel_stack(),
-        ]
-    )
+    bags = (triplet.anchor, triplet.positive, triplet.negative)
+    stacked = np.concatenate([bag.pixel_stack() for bag in bags])
     desc = forward_bag(DescriptorNet(params, net.channels, net.descriptor_dim), stacked)
     rows = desc.data
     pair_pos = GramPair(rows[:n], rows[n : 2 * n])

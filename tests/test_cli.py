@@ -464,6 +464,40 @@ def test_failing_object_in_a_worker_fails_gen_data(tmp_path, monkeypatch, capsys
     assert multiprocessing.active_children() == []
 
 
+def test_gen_data_forks_one_worker_pool(tmp_path, monkeypatch):
+    """Every object of every split renders on one pool."""
+    pools = []
+    real_fork_pool = data_module._fork_pool
+
+    def counting_fork_pool(workers):
+        pools.append(workers)
+        return real_fork_pool(workers)
+
+    monkeypatch.setattr(data_module, "_fork_pool", counting_fork_pool)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--threads", "2", "gen-data"]) == 0
+    assert pools == [2]
+
+
+def test_failing_val_object_leaves_no_output(tmp_path, monkeypatch, capsys):
+    """No split is written before every object has rendered: a failure in
+    val's first object, TINY's object 3, leaves no train.bags behind."""
+    real_object_bags = data_module._object_bags
+
+    def failing_object_bags(*args):
+        if args[-1] == 3:
+            raise data_module.DataError("object 3: refused")
+        return real_object_bags(*args)
+
+    monkeypatch.setattr(data_module, "_object_bags", failing_object_bags)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--threads", "1", "gen-data"]) == 1
+    assert "error: object 3: refused" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_invalid_config_fails_before_writing(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"data": {"objects": 1}}))

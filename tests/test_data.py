@@ -16,6 +16,7 @@ from bagdesc.data import (
     DataError,
     PatchBag,
     build_dataset,
+    cut_splits,
     downsample4,
     extract_bag,
     fast_detect,
@@ -352,8 +353,8 @@ def test_extract_bag_keeps_fast_order_of_its_own_downsample(scene, monkeypatch):
 
 
 def test_build_dataset_and_determinism():
-    a = build_dataset(3, 2, 8, seed=5, split="train")
-    b = build_dataset(3, 2, 8, seed=5, split="train")
+    a = build_dataset(3, 2, 8, seed=5)
+    b = build_dataset(3, 2, 8, seed=5)
     assert len(a) == 6
     assert a.object_ids == [0, 1, 2]
     for ba, bb in zip(a.bags, b.bags):
@@ -394,6 +395,21 @@ def test_build_dataset_bags_share_one_array(tmp_path):
     a, b = built.bags[0].pixels.base, loaded.bags[0].pixels.base
     assert a.dtype == b.dtype == np.float32
     assert a.tobytes() == b.tobytes()
+
+
+def test_cut_splits_cuts_consecutive_objects_of_one_corpus():
+    corpus = make_dataset(num_objects=6, views=2, n=4)
+    splits = cut_splits(corpus, {"train": 3, "val": 1, "test": 2})
+    assert list(splits) == ["train", "val", "test"]
+    assert [ds.object_ids for ds in splits.values()] == [[0, 1, 2], [3], [4, 5]]
+    assert [ds.split for ds in splits.values()] == ["train", "val", "test"]
+    # every bag is the corpus's own, in corpus order
+    cut = [bag for ds in splits.values() for bag in ds.bags]
+    assert len(cut) == len(corpus) and all(a is b for a, b in zip(cut, corpus.bags))
+    with pytest.raises(DataError, match="do not cover 6 objects"):
+        cut_splits(corpus, {"train": 3, "val": 1, "test": 1})
+    with pytest.raises(DataError, match="do not cover 6 objects"):
+        cut_splits(corpus, {"train": 6, "val": 1})
 
 
 def test_load_dataset_holds_the_pixel_bytes_once(tmp_path):
