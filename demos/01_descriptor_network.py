@@ -1,7 +1,8 @@
 """Tour of the descriptor extractor.
 
-Builds the full-width network, walks a patch through every stage, checks the
-unit-norm contract, and runs a finite-difference gradient check on the
+Builds the full-width network, walks a patch through every stage as a
+one-patch batch (every op and `forward` take a leading batch axis), checks
+the unit-norm contract, and runs a finite-difference gradient check on the
 narrow variant.
 """
 
@@ -31,7 +32,7 @@ def main():
     print(f"network parameters: {net.param_count:,}")
 
     rng = np.random.default_rng(0)
-    patch = rng.uniform(0.0, 1.0, (3, 32, 32))
+    patch = rng.uniform(0.0, 1.0, (1, 3, 32, 32))  # a one-patch batch
     p = net.params
     x = Tensor(patch)
     stages = [("input", x)]

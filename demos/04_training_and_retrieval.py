@@ -2,10 +2,11 @@
 
 A deliberately small run (a few minutes on one core). One 19-object
 corpus is cut into 10 train, 3 val and 6 test objects. `calibrate_match`
-places the matching threshold at the initial network's boundary between
-positive and negative distances, so the sigmoid starts in its active zone;
-watch the validation loss fall and the matching-based retrieval gap open
-up. The VLAD rows show no such gap: a k = 8 codebook fit on the 3-object
+places the matching threshold at the boundary between positive and
+negative distances of `init_net(0)`, a fresh network of the same
+architecture (not the one `train` initializes from its own seed), so the
+sigmoid starts in its active zone; watch the validation loss fall and the
+matching-based retrieval gap open up. The VLAD rows show no such gap: a k = 8 codebook fit on the 3-object
 val split is too small for VLAD, and a full run can rank the trained net
 below the random one there. The matching rows carry the gap.
 """

@@ -365,16 +365,14 @@ def generate_scene(
     *,
     size: int = IMAGE_SIZE,
     object_id: int = 0,
-    identity_warp: bool = False,
 ) -> list[SceneImage]:
     """Render one object under `num_views` views with known homographies.
 
     View 0 is the reference (identity homography). Later views apply a random
     perspective warp (each corner moves by at most MAX_CORNER_JITTER * size
     per axis), brightness/contrast jitter within +/-20%, and pixel noise with
-    sigma <= 0.02. `identity_warp` forces the warp to the identity so views
-    differ only photometrically. Deterministic in (seed, arguments). The
-    jitter, noise and clip of each view run in place, in that order.
+    sigma <= 0.02. Deterministic in (seed, arguments). The jitter, noise
+    and clip of each view run in place, in that order.
     """
     if size < MIN_SCENE_SIDE:
         raise ShapeError(f"scene must be at least {MIN_SCENE_SIDE} px per side, got {size}")
@@ -387,13 +385,9 @@ def generate_scene(
         [[0.0, 0.0], [size - 1.0, 0.0], [size - 1.0, size - 1.0], [0.0, size - 1.0]]
     )
     for view_id in range(1, num_views):
-        if identity_warp:
-            hmat = np.eye(3)
-            warped = reference.copy()
-        else:
-            jitter = rng.uniform(-MAX_CORNER_JITTER, MAX_CORNER_JITTER, size=(4, 2)) * size
-            hmat = _homography_from_corners(corners, corners + jitter)
-            warped = _warp_image(reference, hmat)
+        jitter = rng.uniform(-MAX_CORNER_JITTER, MAX_CORNER_JITTER, size=(4, 2)) * size
+        hmat = _homography_from_corners(corners, corners + jitter)
+        warped = _warp_image(reference, hmat)
         contrast = rng.uniform(0.8, 1.2)
         brightness = rng.uniform(-0.2, 0.2)
         # ((warped - 0.5) * contrast + 0.5) + brightness

@@ -89,13 +89,10 @@ class GramPair:
 def soft_indicator(x, cfg: MatchConfig):
     """Smooth stand-in for [x <= tau]: 1 / (1 + exp(beta * (x - tau))).
 
-    Monotone decreasing in x, 0.5 at x == tau. Works elementwise on arrays.
+    Monotone decreasing in x, 0.5 at x == tau. Elementwise, in float64.
     """
     z = np.clip(cfg.beta * (np.asarray(x, dtype=np.float64) - cfg.tau), -EXP_CLAMP, EXP_CLAMP)
-    out = 1.0 / (1.0 + np.exp(z))
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+    return 1.0 / (1.0 + np.exp(z))
 
 
 def sqdist_matrix(pair: GramPair) -> np.ndarray:

@@ -53,8 +53,6 @@ FULL_DESCRIPTOR_DIM = 64
 FULL_PARAM_COUNT = 185_504
 REDUCED_CHANNELS = (4, 8, 16, 4)
 REDUCED_DESCRIPTOR_DIM = 8
-# Patches per forward pass in `describe`.
-DESCRIBE_CHUNK = 256
 
 MODEL_MAGIC = b"WLRNNET1"
 
@@ -122,28 +120,25 @@ def init_net(seed: int, channels=FULL_CHANNELS,
     return DescriptorNet(params, channels, descriptor_dim)
 
 
-def forward(net: DescriptorNet, patch) -> Tensor:
-    """Descriptor of one patch ([3,32,32]) or a stack of patches ([B,3,32,32]).
+def forward(net: DescriptorNet, patches) -> Tensor:
+    """Descriptors of a stack of patches, [B,3,32,32] with B >= 1.
 
     The pixels (float32 as bags hold them, or float64) are widened to
-    float64 here, so every activation, gradient and descriptor is float64.
-    A stack is widened straight into the batch-innermost [3,32,32,B] layout
-    that conv1 reads, in one copy. Returns a Tensor of shape
-    [descriptor_dim] (or [B, descriptor_dim]), with a gradient graph when
-    the net's parameters require a gradient; every row has unit norm. Its
-    `backward` releases the graph's activations, so read none of them
-    afterwards. Raises DegenerateInputError when the pre-normalization
-    output vanishes.
+    float64 straight into the batch-innermost [3,32,32,B] layout that conv1
+    reads, in one copy, so every activation, gradient and descriptor is
+    float64. Returns a [B, descriptor_dim] Tensor, with a gradient graph
+    when the net's parameters require a gradient; every row has unit norm.
+    Its `backward` releases the graph's activations, so read none of them
+    afterwards. Raises ShapeError on any other shape and
+    DegenerateInputError when a pre-normalization row vanishes.
     """
-    pixels = np.asarray(patch)
-    if pixels.shape != PATCH_SHAPE and pixels.shape[1:] != PATCH_SHAPE:
-        raise ShapeError(f"expected patch shape {PATCH_SHAPE} (optionally batched), got {pixels.shape}")
-    if pixels.ndim == 4:
-        wide = np.empty(PATCH_SHAPE + pixels.shape[:1])
-        wide[...] = pixels.transpose(1, 2, 3, 0)
-        pixels = wide.transpose(3, 0, 1, 2)
+    pixels = np.asarray(patches)
+    if pixels.ndim != 4 or pixels.shape[1:] != PATCH_SHAPE or pixels.shape[0] < 1:
+        raise ShapeError(f"expected [B,3,32,32] pixels with B >= 1, got {pixels.shape}")
+    wide = np.empty(PATCH_SHAPE + pixels.shape[:1])
+    wide[...] = pixels.transpose(1, 2, 3, 0)
     p = net.params
-    x = Tensor(pixels, requires_grad=False)
+    x = Tensor(wide.transpose(3, 0, 1, 2), requires_grad=False)
     x = relu(conv2d(x, p["conv1_w"], p["conv1_b"], stride=1))
     x = relu(conv2d(x, p["conv2_w"], p["conv2_b"], stride=2))
     x = maxpool2x2(conv2d(x, p["conv3_w"], p["conv3_b"], stride=1))
@@ -153,35 +148,24 @@ def forward(net: DescriptorNet, patch) -> Tensor:
 
 
 def forward_bag(net: DescriptorNet, pixels: np.ndarray) -> Tensor:
-    """Stack of descriptors, one row per patch of the [n,3,32,32] pixels."""
-    stack = np.asarray(pixels)
-    if stack.ndim != 4 or stack.shape[0] < 1:
-        raise ShapeError(f"expected [n,3,32,32] pixels, got {stack.shape}")
-    return forward(net, stack)
+    """`forward` of one bag's [n,3,32,32] pixels: one row per patch."""
+    return forward(net, pixels)
 
 
 def describe(net: DescriptorNet, pixels: np.ndarray) -> np.ndarray:
     """Inference-only descriptors for [B,3,32,32] pixels (no gradient graph).
 
-    Runs `forward` over leaf Tensors of its own that share the net's arrays
-    and take no gradient, so no op records a graph and each activation is
-    freed once the next layer has read it. Streams in chunks of
-    DESCRIBE_CHUNK so large evaluation batches keep a small footprint: the
-    stack is not converted here, and `forward` widens each chunk to float64
-    on its own. Produces the same values as `forward` on each chunk.
+    Runs one `forward` over leaf Tensors of its own that share the net's
+    arrays and take no gradient, so no op records a graph and each
+    activation is freed once the next layer has read it. Produces the same
+    values as `forward`.
     """
-    stack = np.asarray(pixels)
-    if stack.ndim != 4 or stack.shape[1:] != PATCH_SHAPE or stack.shape[0] < 1:
-        raise ShapeError(f"expected [B,3,32,32] pixels, got {stack.shape}")
     frozen = DescriptorNet(
         {name: Tensor(p.data, requires_grad=False) for name, p in net.params.items()},
         net.channels,
         net.descriptor_dim,
     )
-    pieces = []
-    for start in range(0, stack.shape[0], DESCRIBE_CHUNK):
-        pieces.append(forward(frozen, stack[start : start + DESCRIBE_CHUNK]).data)
-    return np.concatenate(pieces)
+    return forward(frozen, pixels).data
 
 
 def describe_bags(net: DescriptorNet, stacks, threads: int = 1) -> list[np.ndarray]:

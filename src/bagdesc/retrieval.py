@@ -61,10 +61,6 @@ class VladCodebook:
                 if np.array_equal(self.centroids[a], self.centroids[b]):
                     raise ValueError(f"centroids {a} and {b} are identical")
 
-    @property
-    def k(self) -> int:
-        return self.centroids.shape[0]
-
 
 def build_match_index(net: DescriptorNet, dataset: BagDataset, threads: int = 1) -> np.ndarray:
     """[B, n, d] descriptors of every bag, in dataset order, described on

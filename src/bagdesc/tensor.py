@@ -20,6 +20,10 @@ Convolution is valid (no padding) cross-correlation; maxpool routes the
 gradient to the first (row-major) argmax of each window. All arithmetic is
 64-bit.
 
+conv2d, maxpool2x2 and flatten take a [B,C,H,W] batch and affine and
+l2_normalize [B,D] rows, and each raises ShapeError on any other rank;
+relu and sum_squares are elementwise.
+
 Image activations are stored batch-innermost: conv2d, maxpool2x2 and their
 input gradients return [B,C,H,W] views of contiguous [C,H,W,B] memory, which
 element-wise ops preserve. conv2d copies an input in any other layout into
@@ -179,13 +183,11 @@ def _finite_or_raise(arr: np.ndarray, what: str) -> None:
         raise DegenerateInputError(f"{what} contains non-finite values")
 
 
-def _with_batch(x: np.ndarray, core_ndim: int) -> tuple[np.ndarray, bool]:
-    """View `x` with a leading batch axis; report whether one was added."""
-    if x.ndim == core_ndim:
-        return x[None], True
-    if x.ndim == core_ndim + 1:
-        return x, False
-    raise ShapeError(f"expected {core_ndim}D or {core_ndim + 1}D input, got shape {x.shape}")
+def _batch(x: Tensor, ndim: int) -> np.ndarray:
+    """`x.data`, which must be a batch: `ndim` axes, the first one B."""
+    if x.data.ndim != ndim:
+        raise ShapeError(f"expected a {ndim}D batch, got shape {x.data.shape}")
+    return x.data
 
 
 def _block_cols(
@@ -213,14 +215,14 @@ def _block_cols(
 def conv2d(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """Valid cross-correlation plus per-channel bias.
 
-    `x` is [C,H,W] or [B,C,H,W]; `weights` is [Cout,Cin,kh,kw]; `bias` is
-    [Cout]. Output spatial extent is floor((H-kh)/stride)+1 per side.
+    `x` is [B,C,H,W]; `weights` is [Cout,Cin,kh,kw]; `bias` is [Cout].
+    Output spatial extent is floor((H-kh)/stride)+1 per side.
     """
     if weights.data.ndim != 4:
         raise ShapeError(f"weights must be 4D [Cout,Cin,kh,kw], got {weights.data.shape}")
     if stride < 1 or int(stride) != stride:
         raise ShapeError(f"stride must be a positive integer, got {stride!r}")
-    xd, squeeze = _with_batch(x.data, 3)
+    xd = _batch(x, 4)
     b, c, h, w = xd.shape
     cout, cin, kh, kw = weights.data.shape
     if bias.data.shape != (cout,):
@@ -245,8 +247,7 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     out = out.reshape(cout, ho, wo, b).transpose(3, 0, 1, 2)
 
     def backward_fn(grad: np.ndarray) -> None:
-        g = grad[None] if squeeze else grad
-        gmat = np.ascontiguousarray(g.transpose(1, 2, 3, 0)).reshape(cout, ho * run)
+        gmat = np.ascontiguousarray(grad.transpose(1, 2, 3, 0)).reshape(cout, ho * run)
         dw = np.zeros(wmat.shape)
         dw_blk = np.empty(wmat.shape)
         dxs = np.zeros((c, h, w, b))
@@ -271,10 +272,9 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
         bias.accumulate_grad(gmat.sum(axis=1))
         weights.accumulate_grad(dw.reshape(weights.shape))
         if x.requires_grad:
-            dx = dxs.transpose(3, 0, 1, 2)
-            x.accumulate_grad(dx[0] if squeeze else dx)
+            x.accumulate_grad(dxs.transpose(3, 0, 1, 2))
 
-    return _node(out[0] if squeeze else out, (x, weights, bias), backward_fn)
+    return _node(out, (x, weights, bias), backward_fn)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -295,14 +295,14 @@ def relu(x: Tensor) -> Tensor:
 
 
 def maxpool2x2(x: Tensor) -> Tensor:
-    """Non-overlapping 2x2 window maximum over [C,H,W] or [B,C,H,W].
+    """Non-overlapping 2x2 window maximum over [B,C,H,W].
 
     The backward pass routes each window's gradient to its first (row-major)
     argmax position, as `np.argmax` picks it: the first NaN, if any. That
     route, one int8 per output, is found in forward when a graph is
     recorded, so the closure does not keep the input.
     """
-    xd, squeeze = _with_batch(x.data, 3)
+    xd = _batch(x, 4)
     b, c, h, w = xd.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2 requires even spatial extents, got {h}x{w}")
@@ -311,7 +311,7 @@ def maxpool2x2(x: Tensor) -> Tensor:
     peak = np.maximum(np.maximum(np.maximum(corners[0], corners[1]), corners[2]), corners[3])
     out = peak.transpose(3, 0, 1, 2)
     if not x.requires_grad:
-        return Tensor(out[0] if squeeze else out, requires_grad=False)
+        return Tensor(out, requires_grad=False)
     # The argmax is the number of leading corners that miss the maximum; a
     # NaN corner never misses, and a NaN maximum is missed by every number.
     misses = [(corner != peak) & (corner == corner) for corner in corners[:3]]
@@ -320,22 +320,20 @@ def maxpool2x2(x: Tensor) -> Tensor:
     idx = misses[0].view(np.int8) + misses[1].view(np.int8) + misses[2].view(np.int8)
 
     def backward_fn(grad: np.ndarray) -> None:
-        g = grad[None] if squeeze else grad
-        gs = g.transpose(1, 2, 3, 0)
+        gs = grad.transpose(1, 2, 3, 0)
         dxs = np.empty((c, h, w, b), dtype=np.float64)
         for k in range(4):
             dxs[:, k // 2 :: 2, k % 2 :: 2] = np.where(idx == k, gs, 0.0)
-        dx = dxs.transpose(3, 0, 1, 2)
-        x.accumulate_grad(dx[0] if squeeze else dx)
+        x.accumulate_grad(dxs.transpose(3, 0, 1, 2))
 
-    return _node(out[0] if squeeze else out, (x,), backward_fn)
+    return _node(out, (x,), backward_fn)
 
 
 def affine(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    """weights @ x + bias for x of shape [D_in] or [B,D_in]."""
+    """weights @ x + bias for each row x of [B,D_in]."""
     if weights.data.ndim != 2:
         raise ShapeError(f"weights must be 2D [D_out,D_in], got {weights.data.shape}")
-    xd, squeeze = _with_batch(x.data, 1)
+    xd = _batch(x, 2)
     dout, din = weights.data.shape
     if xd.shape[1] != din:
         raise ShapeError(f"input dimension {xd.shape[1]} does not match weights D_in {din}")
@@ -345,22 +343,20 @@ def affine(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     out = xd @ wd.T + bias.data
 
     def backward_fn(grad: np.ndarray) -> None:
-        g = grad[None] if squeeze else grad
-        bias.accumulate_grad(g.sum(axis=0))
-        weights.accumulate_grad(g.T @ xd)
-        dx = g @ wd
-        x.accumulate_grad(dx[0] if squeeze else dx)
+        bias.accumulate_grad(grad.sum(axis=0))
+        weights.accumulate_grad(grad.T @ xd)
+        x.accumulate_grad(grad @ wd)
 
-    return _node(out[0] if squeeze else out, (x, weights, bias), backward_fn)
+    return _node(out, (x, weights, bias), backward_fn)
 
 
 def l2_normalize(x: Tensor) -> Tensor:
-    """Scale [D] (or each row of [B,D]) to unit Euclidean norm.
+    """Scale each row of [B,D] to unit Euclidean norm.
 
     Rejects inputs with norm <= 1e-12. Backward applies the normalization
     Jacobian (I - y y^T) / ||x||.
     """
-    xd, squeeze = _with_batch(x.data, 1)
+    xd = _batch(x, 2)
     norms = np.sqrt(np.sum(xd * xd, axis=1))
     if np.any(norms <= NORM_FLOOR) or not np.all(np.isfinite(norms)):
         worst = float(np.min(norms))
@@ -370,30 +366,28 @@ def l2_normalize(x: Tensor) -> Tensor:
     y = xd / norms[:, None]
 
     def backward_fn(grad: np.ndarray) -> None:
-        g = grad[None] if squeeze else grad
-        dx = (g - y * np.sum(y * g, axis=1, keepdims=True)) / norms[:, None]
-        x.accumulate_grad(dx[0] if squeeze else dx)
+        dx = (grad - y * np.sum(y * grad, axis=1, keepdims=True)) / norms[:, None]
+        x.accumulate_grad(dx)
 
-    return _node(y[0] if squeeze else y, (x,), backward_fn)
+    return _node(y, (x,), backward_fn)
 
 
 def flatten(x: Tensor) -> Tensor:
-    """[C,H,W] -> [C*H*W], or [B,C,H,W] -> [B, C*H*W].
+    """[B,C,H,W] -> [B, C*H*W].
 
     The input gradient is batch-innermost, the layout conv2d reads without
     a copy; the closure keeps only the input's shape.
     """
-    xd, squeeze = _with_batch(x.data, 3)
+    xd = _batch(x, 4)
     b, c, h, w = xd.shape
     out = xd.reshape(b, -1)
 
     def backward_fn(grad: np.ndarray) -> None:
-        g = grad[None] if squeeze else grad
         dx = np.empty((c, h, w, b)).transpose(3, 0, 1, 2)
-        dx[...] = g.reshape(b, c, h, w)
-        x.accumulate_grad(dx[0] if squeeze else dx)
+        dx[...] = grad.reshape(b, c, h, w)
+        x.accumulate_grad(dx)
 
-    return _node(out[0] if squeeze else out, (x,), backward_fn)
+    return _node(out, (x,), backward_fn)
 
 
 def sum_squares(x: Tensor) -> Tensor:

@@ -136,11 +136,12 @@ def triplet_loss(net: DescriptorNet, triplet: BagTriplet, cfg: MatchConfig) -> t
 
 def rmsprop_step(params: dict, grads: dict, state: dict, lr: float) -> None:
     """In-place rmsprop update: v <- decay v + (1-decay) g^2, p -= lr g/(sqrt(v)+eps),
-    with RMSPROP_DECAY and RMSPROP_EPS."""
+    with RMSPROP_DECAY and RMSPROP_EPS. Every parameter needs a gradient: a
+    missing one raises ValueError naming the layer."""
     for name, param in params.items():
         g = grads.get(name)
         if g is None:
-            continue
+            raise ValueError(f"no gradient for layer {name}")
         if g.shape != param.data.shape:
             raise ValueError(f"gradient for {name} has shape {g.shape}, expected {param.data.shape}")
         if not np.all(np.isfinite(g)):

@@ -89,22 +89,22 @@ def test_criterion_1_parameter_count():
 def test_criterion_2_shape_pipeline():
     net = init_net(0)
     p = net.params
-    x = Tensor(np.random.default_rng(0).uniform(0, 1, (3, 32, 32)))
+    x = Tensor(np.random.default_rng(0).uniform(0, 1, (1, 3, 32, 32)))
     stages = []
     a = relu(conv2d(x, p["conv1_w"], p["conv1_b"], stride=1))
-    stages.append(a.data.shape == (32, 30, 30))
+    stages.append(a.data.shape == (1, 32, 30, 30))
     a = relu(conv2d(a, p["conv2_w"], p["conv2_b"], stride=2))
-    stages.append(a.data.shape == (64, 14, 14))
+    stages.append(a.data.shape == (1, 64, 14, 14))
     a = conv2d(a, p["conv3_w"], p["conv3_b"], stride=1)
-    stages.append(a.data.shape == (128, 12, 12))
+    stages.append(a.data.shape == (1, 128, 12, 12))
     a = maxpool2x2(a)
-    stages.append(a.data.shape == (128, 6, 6))
+    stages.append(a.data.shape == (1, 128, 6, 6))
     a = conv2d(a, p["conv4_w"], p["conv4_b"], stride=1)
-    stages.append(a.data.shape == (32, 6, 6))
+    stages.append(a.data.shape == (1, 32, 6, 6))
     a = flatten(a)
-    stages.append(a.data.shape == (1152,))
+    stages.append(a.data.shape == (1, 1152))
     a = l2_normalize(affine(a, p["fc_w"], p["fc_b"]))
-    stages.append(a.data.shape == (64,))
+    stages.append(a.data.shape == (1, 64))
     report(2, "shape pipeline", all(stages))
 
 
@@ -129,7 +129,7 @@ def test_criterion_4a_op_gradients_100_trials():
     worst = 0.0
     for trial in range(100):
         rng = np.random.default_rng(1000 + trial)
-        x = Tensor(rng.normal(size=(2, 6, 6)))
+        x = Tensor(rng.normal(size=(1, 2, 6, 6)))
         w = Tensor(rng.normal(size=(3, 2, 3, 3)))
         b = Tensor(rng.normal(size=3))
         errs = [
@@ -138,12 +138,12 @@ def test_criterion_4a_op_gradients_100_trials():
             finite_diff_gradcheck(lambda t: sum_squares(conv2d(x, w, t, 1)), b, 1e-5),
         ]
         # keep relu away from zero and pooling away from ties
-        safe = rng.normal(size=(2, 4, 4))
+        safe = rng.normal(size=(1, 2, 4, 4))
         safe += np.where(safe > 0, 0.5, -0.5)
         xs = Tensor(safe)
         errs.append(finite_diff_gradcheck(lambda t: sum_squares(relu(t)), xs, 1e-6))
         errs.append(finite_diff_gradcheck(lambda t: sum_squares(maxpool2x2(t)), xs, 1e-6))
-        xa = Tensor(rng.normal(size=7))
+        xa = Tensor(rng.normal(size=(1, 7)))
         wa = Tensor(rng.normal(size=(4, 7)))
         ba = Tensor(rng.normal(size=4))
         errs.append(finite_diff_gradcheck(lambda t: sum_squares(affine(t, wa, ba)), xa, 1e-6))
@@ -151,7 +151,7 @@ def test_criterion_4a_op_gradients_100_trials():
         errs.append(finite_diff_gradcheck(lambda t: sum_squares(affine(xa, wa, t)), ba, 1e-6))
         errs.append(
             finite_diff_gradcheck(
-                lambda t: sum_squares(l2_normalize(t)), Tensor(rng.normal(size=9)), 1e-6
+                lambda t: sum_squares(l2_normalize(t)), Tensor(rng.normal(size=(1, 9))), 1e-6
             )
         )
         worst = max(worst, max(errs))
@@ -244,26 +244,26 @@ def test_criterion_5_conv_pool_affine_oracles():
 
     # the Table-1 layer geometries at full width
     cases = [
-        ((3, 32, 32), (32, 3, 3, 3), 1),
-        ((32, 30, 30), (64, 32, 4, 4), 2),
-        ((64, 14, 14), (128, 64, 3, 3), 1),
-        ((128, 6, 6), (32, 128, 1, 1), 1),
+        ((1, 3, 32, 32), (32, 3, 3, 3), 1),
+        ((1, 32, 30, 30), (64, 32, 4, 4), 2),
+        ((1, 64, 14, 14), (128, 64, 3, 3), 1),
+        ((1, 128, 6, 6), (32, 128, 1, 1), 1),
     ]
     for xshape, wshape, stride in cases:
         x = rng.normal(size=xshape)
         w = rng.normal(size=wshape) * 0.1
         b = rng.normal(size=wshape[0])
         got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride).data
-        worst = max(worst, float(np.max(np.abs(got - conv2d_loop(x, w, b, stride)))))
+        worst = max(worst, float(np.max(np.abs(got[0] - conv2d_loop(x[0], w, b, stride)))))
 
-    xp = rng.normal(size=(128, 12, 12))
-    worst = max(worst, float(np.max(np.abs(maxpool2x2(Tensor(xp)).data - maxpool2x2_loop(xp)))))
+    xp = rng.normal(size=(1, 128, 12, 12))
+    worst = max(worst, float(np.max(np.abs(maxpool2x2(Tensor(xp)).data[0] - maxpool2x2_loop(xp[0])))))
 
-    xa = rng.normal(size=1152)
+    xa = rng.normal(size=(1, 1152))
     wa = rng.normal(size=(64, 1152)) * 0.03
     ba = rng.normal(size=64)
     got = affine(Tensor(xa), Tensor(wa), Tensor(ba)).data
-    worst = max(worst, float(np.max(np.abs(got - affine_loop(xa, wa, ba)))))
+    worst = max(worst, float(np.max(np.abs(got[0] - affine_loop(xa[0], wa, ba)))))
     ok_numeric = worst < 1e-12
 
     mismatches = 0

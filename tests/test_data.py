@@ -74,20 +74,6 @@ def test_generate_scene_rejects_small_size_before_rendering(monkeypatch):
     assert renders == []
 
 
-def test_identity_warp_views_differ_only_photometrically():
-    views = generate_scene(5, 2, size=256, identity_warp=True)
-    ref, warped = views[0].pixels, views[1].pixels
-    assert np.array_equal(views[1].homography, np.eye(3))
-    assert not np.array_equal(ref, warped)
-    # away from clipping, the map is approximately affine in intensity:
-    # remove best-fit contrast/brightness and only pixel noise remains
-    mask = (warped > 0.02) & (warped < 0.98)
-    x, y = ref[mask], warped[mask]
-    slope, intercept = np.polyfit(x, y, 1)
-    residual = y - (slope * x + intercept)
-    assert np.std(residual) < 0.05
-
-
 def test_warp_consistency_within_half_pixel():
     views = generate_scene(12, 2, size=256)
     ref = rgb_to_gray(views[0].pixels)
@@ -137,41 +123,32 @@ def test_warp_consistency_within_half_pixel():
 
 
 # SHA-256 over every view's little-endian float64 pixels, then homography,
-# for generate_scene(seed, 3, size=size, identity_warp=identity_warp). A
-# rendering speed-up must keep every bit; update these only for a change
-# that means to alter the data, and say so.
+# for generate_scene(seed, 3, size=size). A rendering speed-up must keep
+# every bit; update these only for a change that means to alter the data,
+# and say so.
 SCENE_DIGESTS = {
-    (0, 256, False): "aeb94f7dda7ac4707b37969e2281ef3c0f42463c88b1625a4529b0d5ee200d44",
-    (0, 256, True): "da865cc15a9f7677d6b4f97cb5a806ecc1caec6bd6309dde26cf02bec8b2ebf7",
-    (0, 301, False): "7c028c7f863c76f5ea7666232dbdcfe5b1aef628824086d97c79c846c8c182af",
-    (0, 301, True): "96dc0de7a7f99d50b93689ac2e5cffe86d242c70b9f476197ed3851f44f29db9",
-    (0, 512, False): "f805ca73a2e8643df0cea61e5637d034e1c5a3935216cb1ea80d2c75bfd36e0b",
-    (0, 512, True): "271512f02117ecf566afa9ecd0764497ccd41798eff375d89feb5f5c4ef4612b",
-    (1, 256, False): "54807dd623dab92eb67025e9174ecc093cabf94a755c3c414cbdff926452e1ed",
-    (1, 256, True): "d3cc00f9c40f676bfcfde39a4c4fc38167c174a329b8a93064235157f47e22d3",
-    (1, 301, False): "9adea62a2b07d955b84746f425d2b395200bc23c42ad0d5853e241f7f428fd75",
-    (1, 301, True): "e35802c6087e0ea7633ccebcb99ab685d5504cf4182e973bddbca0aaadfe7000",
-    (1, 512, False): "d974097201a54968a7cd87ac347bc0187d701357bfb9b57468028a1a3f1e86e6",
-    (1, 512, True): "46a90f5386abb777a11cb93c277c2e506ed902c5018d4db45546b408d51b72ed",
-    (7, 256, False): "c55145bd8e6c31379faae64c0b8f852c4e394b1585b29a41452ccd6563385f28",
-    (7, 256, True): "abd037cc7a17c80e9e0d04d530eaa7e70204d9fc037ea438dc336e0a795a95b6",
-    (7, 301, False): "fd8d10f9dc1dc7d204d9d64e3f8e19f701e914d6f0988ff159bc8ad1960f63e5",
-    (7, 301, True): "f43eedd6909aa5c2c7af37510b0ff5f8e17b56c7d6100685e2f67a217eb52bac",
-    (7, 512, False): "475a4e49dbeb9c765a37f995c5d238cc228adf82689ac69a80b48e3bc5b02651",
-    (7, 512, True): "3df1984cffa1125862db0574edccb8d79e109e11660b72b305d2b00c1c00866d",
+    (0, 256): "aeb94f7dda7ac4707b37969e2281ef3c0f42463c88b1625a4529b0d5ee200d44",
+    (0, 301): "7c028c7f863c76f5ea7666232dbdcfe5b1aef628824086d97c79c846c8c182af",
+    (0, 512): "f805ca73a2e8643df0cea61e5637d034e1c5a3935216cb1ea80d2c75bfd36e0b",
+    (1, 256): "54807dd623dab92eb67025e9174ecc093cabf94a755c3c414cbdff926452e1ed",
+    (1, 301): "9adea62a2b07d955b84746f425d2b395200bc23c42ad0d5853e241f7f428fd75",
+    (1, 512): "d974097201a54968a7cd87ac347bc0187d701357bfb9b57468028a1a3f1e86e6",
+    (7, 256): "c55145bd8e6c31379faae64c0b8f852c4e394b1585b29a41452ccd6563385f28",
+    (7, 301): "fd8d10f9dc1dc7d204d9d64e3f8e19f701e914d6f0988ff159bc8ad1960f63e5",
+    (7, 512): "475a4e49dbeb9c765a37f995c5d238cc228adf82689ac69a80b48e3bc5b02651",
     # a polygon whose bounding box starts at or past the image's far edge
-    (144, 256, False): "4e39b007e4bf5a5380745066f6e9f3593e431da9898198e4d58208a5ff208839",
-    (3921792435, 256, False): "af7e77948eb2b8b46bf053ec60d4650de4f5b1a10fe6d0151ef8b00aeb9ed895",
+    (144, 256): "4e39b007e4bf5a5380745066f6e9f3593e431da9898198e4d58208a5ff208839",
+    (3921792435, 256): "af7e77948eb2b8b46bf053ec60d4650de4f5b1a10fe6d0151ef8b00aeb9ed895",
 }
 
 
-@pytest.mark.parametrize("seed,size,identity_warp", sorted(SCENE_DIGESTS))
-def test_generate_scene_bytes_are_pinned(seed, size, identity_warp):
+@pytest.mark.parametrize("seed,size", sorted(SCENE_DIGESTS))
+def test_generate_scene_bytes_are_pinned(seed, size):
     digest = hashlib.sha256()
-    for view in generate_scene(seed, 3, size=size, identity_warp=identity_warp):
+    for view in generate_scene(seed, 3, size=size):
         digest.update(np.ascontiguousarray(view.pixels, "<f8").tobytes())
         digest.update(np.ascontiguousarray(view.homography, "<f8").tobytes())
-    assert digest.hexdigest() == SCENE_DIGESTS[seed, size, identity_warp]
+    assert digest.hexdigest() == SCENE_DIGESTS[seed, size]
 
 
 @pytest.mark.parametrize("shape", [(3, 7, 9), (1, 1, 5), (2, 6, 1), (3, 4, 4)])

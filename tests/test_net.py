@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from bagdesc.net import (
-    DESCRIBE_CHUNK,
     FULL_CHANNELS,
     FULL_DESCRIPTOR_DIM,
     FULL_PARAM_COUNT,
@@ -41,7 +40,7 @@ RNG = np.random.default_rng(42)
 
 
 def random_patch(rng):
-    return rng.uniform(0.0, 1.0, (3, 32, 32))
+    return rng.uniform(0.0, 1.0, (1, 3, 32, 32))
 
 
 def test_param_count_is_exact():
@@ -77,19 +76,19 @@ def test_forward_pipeline_shapes_layer_by_layer():
     p = net.params
     x = Tensor(random_patch(RNG))
     a1 = relu(conv2d(x, p["conv1_w"], p["conv1_b"], stride=1))
-    assert a1.data.shape == (32, 30, 30)
+    assert a1.data.shape == (1, 32, 30, 30)
     a2 = relu(conv2d(a1, p["conv2_w"], p["conv2_b"], stride=2))
-    assert a2.data.shape == (64, 14, 14)
+    assert a2.data.shape == (1, 64, 14, 14)
     a3 = conv2d(a2, p["conv3_w"], p["conv3_b"], stride=1)
-    assert a3.data.shape == (128, 12, 12)
+    assert a3.data.shape == (1, 128, 12, 12)
     a3p = maxpool2x2(a3)
-    assert a3p.data.shape == (128, 6, 6)
+    assert a3p.data.shape == (1, 128, 6, 6)
     a4 = conv2d(a3p, p["conv4_w"], p["conv4_b"], stride=1)
-    assert a4.data.shape == (32, 6, 6)
+    assert a4.data.shape == (1, 32, 6, 6)
     flat = flatten(a4)
-    assert flat.data.shape == (1152,)
+    assert flat.data.shape == (1, 1152)
     out = l2_normalize(affine(flat, p["fc_w"], p["fc_b"]))
-    assert out.data.shape == (64,)
+    assert out.data.shape == (1, 64)
     assert np.array_equal(out.data, forward(net, x.data).data)
 
 
@@ -104,7 +103,28 @@ def test_forward_unit_norm_and_determinism():
 
 def test_forward_rejects_wrong_shape():
     with pytest.raises(ShapeError):
-        forward(init_net(0), np.zeros((3, 16, 16)))
+        forward(init_net(0), np.zeros((1, 3, 16, 16)))
+
+
+# Each entry point fed its unbatched form: one patch, one activation map or
+# one row instead of a stack of them.
+UNBATCHED_CALLS = {
+    "conv2d": lambda net: conv2d(Tensor(np.full((3, 32, 32), 0.5)), net.params["conv1_w"], net.params["conv1_b"]),
+    "maxpool2x2": lambda net: maxpool2x2(Tensor(np.full((4, 6, 6), 0.5))),
+    "flatten": lambda net: flatten(Tensor(np.full((4, 6, 6), 0.5))),
+    "affine": lambda net: affine(Tensor(np.full(144, 0.5)), net.params["fc_w"], net.params["fc_b"]),
+    "l2_normalize": lambda net: l2_normalize(Tensor(np.full(8, 0.5))),
+    "forward": lambda net: forward(net, np.full((3, 32, 32), 0.5)),
+    "forward_bag": lambda net: forward_bag(net, np.full((3, 32, 32), 0.5)),
+    "describe": lambda net: describe(net, np.full((3, 32, 32), 0.5)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(UNBATCHED_CALLS))
+def test_unbatched_input_raises_shape_error(entry):
+    net = init_net(0, channels=REDUCED_CHANNELS, descriptor_dim=REDUCED_DESCRIPTOR_DIM)
+    with pytest.raises(ShapeError):
+        UNBATCHED_CALLS[entry](net)
 
 
 def test_describe_rejects_an_empty_stack_as_forward_bag_does():
@@ -116,14 +136,14 @@ def test_describe_rejects_an_empty_stack_as_forward_bag_does():
 def test_zero_patch_with_zero_biases_is_degenerate():
     net = init_net(0)  # biases start at zero
     with pytest.raises(DegenerateInputError):
-        forward(net, np.zeros((3, 32, 32)))
+        forward(net, np.zeros((1, 3, 32, 32)))
 
 
 def test_forward_bag_rows():
     net = init_net(1)
     rng = np.random.default_rng(0)
     patch = random_patch(rng)
-    same = np.stack([patch] * 5)
+    same = np.concatenate([patch] * 5)
     rows = forward_bag(net, same).data
     assert rows.shape == (5, 64)
     for i in range(1, 5):
@@ -141,8 +161,7 @@ def test_forward_bag_rows():
 
 def test_describe_matches_forward():
     net = init_net(4, channels=REDUCED_CHANNELS, descriptor_dim=REDUCED_DESCRIPTOR_DIM)
-    # two full chunks and a short third one
-    stack = np.random.default_rng(8).uniform(0, 1, (2 * DESCRIBE_CHUNK + 3, 3, 32, 32))
+    stack = np.random.default_rng(8).uniform(0, 1, (515, 3, 32, 32))
     a = describe(net, stack)
     b = forward_bag(net, stack).data
     assert np.max(np.abs(a - b)) < 1e-12
@@ -152,10 +171,10 @@ def test_float32_pixels_give_the_float64_bits():
     """The net widens float32 pixels at its input, so every descriptor
     equals that of the same values passed as float64."""
     net = init_net(4, channels=REDUCED_CHANNELS, descriptor_dim=REDUCED_DESCRIPTOR_DIM)
-    narrow = np.random.default_rng(10).uniform(0, 1, (DESCRIBE_CHUNK + 3, 3, 32, 32))
+    narrow = np.random.default_rng(10).uniform(0, 1, (259, 3, 32, 32))
     narrow = narrow.astype(np.float32)
     wide = narrow.astype(np.float64)
-    assert np.array_equal(forward(net, narrow[0]).data, forward(net, wide[0]).data)
+    assert np.array_equal(forward(net, narrow[:1]).data, forward(net, wide[:1]).data)
     assert np.array_equal(forward_bag(net, narrow[:5]).data, forward_bag(net, wide[:5]).data)
     assert np.array_equal(describe(net, narrow), describe(net, wide))
 
@@ -193,22 +212,6 @@ def test_describe_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 22e6
-
-
-def test_describe_widens_one_chunk_at_a_time():
-    """A float32 stack of eight chunks is never widened whole: the traced
-    peak (about 23 MB) stays below the 50 MB that a float64 copy of the
-    stack alone would take."""
-    net = init_net(4, channels=REDUCED_CHANNELS, descriptor_dim=REDUCED_DESCRIPTOR_DIM)
-    stack = np.random.default_rng(20).uniform(0, 1, (8 * DESCRIBE_CHUNK, 3, 32, 32))
-    stack = stack.astype(np.float32)
-    tracemalloc.start()
-    try:
-        describe(net, stack)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < stack.size * np.dtype(np.float64).itemsize
 
 
 def test_load_rejects_header_without_newline_quickly(tmp_path):
@@ -320,7 +323,7 @@ def test_load_rejects_wrong_parameter_count(tmp_path):
 def test_reduced_net_end_to_end_gradients():
     net = init_net(9, channels=REDUCED_CHANNELS, descriptor_dim=REDUCED_DESCRIPTOR_DIM)
     rng = np.random.default_rng(17)
-    patch = rng.uniform(0.05, 0.95, (3, 32, 32))
+    patch = rng.uniform(0.05, 0.95, (1, 3, 32, 32))
     probe = rng.normal(size=REDUCED_DESCRIPTOR_DIM)
     for name in net.params:
         original = net.params[name]
@@ -330,7 +333,7 @@ def test_reduced_net_end_to_end_gradients():
             try:
                 d = forward(net, patch)
                 return Tensor(
-                    float(d.data @ probe), (d,), lambda g: d.accumulate_grad(float(g) * probe)
+                    float(d.data[0] @ probe), (d,), lambda g: d.accumulate_grad(float(g) * probe[None])
                 )
             finally:
                 net.params[name] = original

@@ -31,29 +31,29 @@ RNG = np.random.default_rng(1234)
 
 
 def test_conv2d_scaling_identity():
-    x = Tensor(np.ones((1, 3, 3)))
+    x = Tensor(np.ones((1, 1, 3, 3)))
     w = Tensor(np.full((1, 1, 1, 1), 2.0))
     b = Tensor(np.zeros(1))
     out = conv2d(x, w, b, stride=1)
-    assert out.data.shape == (1, 3, 3)
-    assert np.array_equal(out.data, np.full((1, 3, 3), 2.0))
+    assert out.data.shape == (1, 1, 3, 3)
+    assert np.array_equal(out.data, np.full((1, 1, 3, 3), 2.0))
 
 
 def test_conv2d_32x32_to_30x30():
-    x = Tensor(RNG.uniform(0, 1, (3, 32, 32)))
+    x = Tensor(RNG.uniform(0, 1, (1, 3, 32, 32)))
     w = Tensor(RNG.normal(size=(32, 3, 3, 3)))
     b = Tensor(np.zeros(32))
-    assert conv2d(x, w, b, stride=1).data.shape == (32, 30, 30)
+    assert conv2d(x, w, b, stride=1).data.shape == (1, 32, 30, 30)
 
 
 def test_conv2d_matches_sixloop_reference():
-    x = RNG.normal(size=(2, 5, 5))
+    x = RNG.normal(size=(1, 2, 5, 5))
     w = RNG.normal(size=(3, 2, 2, 2))
     b = RNG.normal(size=3)
     out = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=2)
-    ref = conv2d_sixloop(x, w, b, stride=2)
-    assert out.data.shape == ref.shape
-    assert np.max(np.abs(out.data - ref)) < 1e-12
+    ref = conv2d_sixloop(x[0], w, b, stride=2)
+    assert out.data.shape == (1,) + ref.shape
+    assert np.max(np.abs(out.data[0] - ref)) < 1e-12
 
 
 def test_conv2d_matches_loop_reference_strided_batched():
@@ -67,7 +67,7 @@ def test_conv2d_matches_loop_reference_strided_batched():
 
 
 def test_conv2d_rejects_bad_shapes():
-    x = Tensor(RNG.normal(size=(2, 5, 5)))
+    x = Tensor(RNG.normal(size=(1, 2, 5, 5)))
     with pytest.raises(ShapeError):
         conv2d(x, Tensor(RNG.normal(size=(3, 99, 2, 2))), Tensor(np.zeros(3)))
     with pytest.raises(ShapeError):
@@ -101,38 +101,38 @@ def test_relu_propagates_nan_and_clears_negative_zero():
 
 
 def test_maxpool_values():
-    out = maxpool2x2(Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]])))
-    assert out.data.shape == (1, 1, 1)
-    assert out.data[0, 0, 0] == 4.0
+    out = maxpool2x2(Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]])))
+    assert out.data.shape == (1, 1, 1, 1)
+    assert out.data[0, 0, 0, 0] == 4.0
 
-    const = maxpool2x2(Tensor(np.full((2, 8, 6), 3.5)))
-    assert const.data.shape == (2, 4, 3)
-    assert np.array_equal(const.data, np.full((2, 4, 3), 3.5))
+    const = maxpool2x2(Tensor(np.full((1, 2, 8, 6), 3.5)))
+    assert const.data.shape == (1, 2, 4, 3)
+    assert np.array_equal(const.data, np.full((1, 2, 4, 3), 3.5))
 
-    x = RNG.normal(size=(128, 12, 12))
+    x = RNG.normal(size=(1, 128, 12, 12))
     out = maxpool2x2(Tensor(x))
-    assert out.data.shape == (128, 6, 6)
-    assert np.array_equal(out.data, maxpool2x2_loop(x))
+    assert out.data.shape == (1, 128, 6, 6)
+    assert np.array_equal(out.data[0], maxpool2x2_loop(x[0]))
 
 
 def test_maxpool_rejects_odd_extent():
     with pytest.raises(ShapeError):
-        maxpool2x2(Tensor(RNG.normal(size=(1, 3, 4))))
+        maxpool2x2(Tensor(RNG.normal(size=(1, 1, 3, 4))))
 
 
 def test_maxpool_tie_gradient_goes_to_first_position():
-    x = Tensor(np.array([[[1.0, 1.0], [1.0, 1.0]]]))
+    x = Tensor(np.array([[[[1.0, 1.0], [1.0, 1.0]]]]))
     out = maxpool2x2(x)
-    out.backward(np.ones((1, 1, 1)))
-    assert np.array_equal(x.grad, [[[1.0, 0.0], [0.0, 0.0]]])
+    out.backward(np.ones((1, 1, 1, 1)))
+    assert np.array_equal(x.grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
 
 
-LAYOUTS = ("c_contiguous", "batch_innermost", "strided_view", "unbatched")
+LAYOUTS = ("c_contiguous", "batch_innermost", "strided_view", "batch_of_one")
 
 
 def _in_layout(arr, layout):
     """`arr` ([B,C,H,W]) as the named kind of input array, same values."""
-    if layout == "c_contiguous":
+    if layout in ("c_contiguous", "batch_of_one"):
         return np.ascontiguousarray(arr)
     if layout == "batch_innermost":
         view = np.ascontiguousarray(arr.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
@@ -145,11 +145,6 @@ def _in_layout(arr, layout):
         view[...] = arr
         assert not view.flags.c_contiguous and not view.flags.f_contiguous
         return view
-    return np.ascontiguousarray(arr[0])
-
-
-def _batched(arr):
-    return arr if arr.ndim == 4 else arr[None]
 
 
 def _check_conv2d_against_loops(x_in, w, b, stride, rng, between=None):
@@ -163,15 +158,14 @@ def _check_conv2d_against_loops(x_in, w, b, stride, rng, between=None):
         between()
     grad = rng.normal(size=out.data.shape)
     out.backward(grad)
-    xs, outs, grads, dxs = _batched(x_in), _batched(out.data), _batched(grad), _batched(x.grad)
     dw_ref = np.zeros(w.data.shape)
     db_ref = np.zeros(b.data.shape)
-    for i in range(xs.shape[0]):
+    for i in range(x_in.shape[0]):
         # float64 sums of at most 4*3*2 = 24 products: rounding only
-        assert np.max(np.abs(outs[i] - conv2d_loop(xs[i], w.data, b.data, stride))) < 1e-12
-        dx_ref, dw_i, db_i = conv2d_backward_loop(xs[i], w.data, grads[i], stride)
+        assert np.max(np.abs(out.data[i] - conv2d_loop(x_in[i], w.data, b.data, stride))) < 1e-12
+        dx_ref, dw_i, db_i = conv2d_backward_loop(x_in[i], w.data, grad[i], stride)
         # input gradient: sums of at most 5 * 3 * 2 products, in another order
-        assert np.max(np.abs(dxs[i] - dx_ref)) < 1e-12
+        assert np.max(np.abs(x.grad[i] - dx_ref)) < 1e-12
         dw_ref += dw_i
         db_ref += db_i
     # weight and bias gradients sum over the batch and every output pixel
@@ -185,17 +179,17 @@ def _check_conv2d_against_loops(x_in, w, b, stride, rng, between=None):
 @pytest.mark.parametrize("stride", (1, 2))
 def test_conv2d_layouts_match_loop_oracle(layout, stride):
     rng = np.random.default_rng(40 + stride)
-    batch = 1 if layout == "unbatched" else 3
+    batch = 1 if layout == "batch_of_one" else 3
     x_in = _in_layout(rng.normal(size=(batch, 4, 9, 8)), layout)
     w = Tensor(rng.normal(size=(5, 4, 3, 2)))
     b = Tensor(rng.normal(size=5))
     out = _check_conv2d_against_loops(x_in, w, b, stride, rng)
-    assert out.data.shape == (x_in.shape[:-3] + (5, (9 - 3) // stride + 1, (8 - 2) // stride + 1))
+    assert out.data.shape == (batch, 5, (9 - 3) // stride + 1, (8 - 2) // stride + 1)
 
 
 @pytest.mark.parametrize("stride", (1, 2))
 @pytest.mark.parametrize(
-    "case", ("partial_last_block", "kernel_equals_input", "batch_of_one", "unbatched")
+    "case", ("partial_last_block", "kernel_equals_input", "batch_of_one")
 )
 def test_conv2d_row_block_edges_match_loop_oracle(case, stride):
     """Output heights that do not fill the last row block, Ho = 1, and B = 1."""
@@ -208,8 +202,6 @@ def test_conv2d_row_block_edges_match_loop_oracle(case, stride):
     elif case == "batch_of_one":
         shape = (1,) + shape[1:]
     x_in = rng.normal(size=shape)
-    if case == "unbatched":
-        x_in = x_in[1]
     w = Tensor(rng.normal(size=(5, 4, kh, kw)))
     b = Tensor(rng.normal(size=5))
     out = _check_conv2d_against_loops(x_in, w, b, stride, rng)
@@ -263,7 +255,7 @@ def test_backward_hands_over_gradients_without_sharing_memory():
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_maxpool_layouts_match_loop_oracle(layout):
     rng = np.random.default_rng(50)
-    batch = 1 if layout == "unbatched" else 3
+    batch = 1 if layout == "batch_of_one" else 3
     values = rng.normal(size=(batch, 4, 6, 8))
     values[:, :, 0, 0] = values[:, :, 1, 1] = 5.0  # each first window: a tie for the max
     x_in = _in_layout(values, layout)
@@ -271,12 +263,11 @@ def test_maxpool_layouts_match_loop_oracle(layout):
     out = maxpool2x2(x)
     grad = rng.normal(size=out.data.shape)
     out.backward(grad)
-    assert out.data.shape == x_in.shape[:-2] + (3, 4)
-    xs, outs, grads, dxs = _batched(x_in), _batched(out.data), _batched(grad), _batched(x.grad)
-    for i in range(xs.shape[0]):
+    assert out.data.shape == (batch, 4, 3, 4)
+    for i in range(batch):
         # a maximum and a routed gradient are copies: exact
-        assert np.array_equal(outs[i], maxpool2x2_loop(xs[i]))
-        assert np.array_equal(dxs[i], maxpool2x2_backward_loop(xs[i], grads[i]))
+        assert np.array_equal(out.data[i], maxpool2x2_loop(x_in[i]))
+        assert np.array_equal(x.grad[i], maxpool2x2_backward_loop(x_in[i], grad[i]))
 
 
 def test_maxpool_ties_and_nan_route_like_argmax():
@@ -287,71 +278,71 @@ def test_maxpool_ties_and_nan_route_like_argmax():
         [[7.0, 1.0], [2.0, nan]],  # a NaN after the largest number
         [[nan, 9.0], [9.0, 1.0]],  # a NaN first
     ]
-    x_data = np.concatenate([np.array(wnd) for wnd in windows], axis=1)[None]  # [1,2,8]
+    x_data = np.concatenate([np.array(wnd) for wnd in windows], axis=1)[None, None]  # [1,1,2,8]
     x = Tensor(x_data)
     out = maxpool2x2(x)
-    out.backward(np.arange(1.0, 5.0).reshape(1, 1, 4))
+    out.backward(np.arange(1.0, 5.0).reshape(1, 1, 1, 4))
     for k, wnd in enumerate(windows):
-        block = x_data[0, :, 2 * k : 2 * k + 2]
+        block = x_data[0, 0, :, 2 * k : 2 * k + 2]
         first = int(np.argmax(block))
-        assert np.array_equal(out.data[0, 0, k], np.max(block), equal_nan=True)
+        assert np.array_equal(out.data[0, 0, 0, k], np.max(block), equal_nan=True)
         expected = np.zeros(4)
         expected[first] = k + 1.0
-        assert np.array_equal(x.grad[0, :, 2 * k : 2 * k + 2].ravel(), expected)
+        assert np.array_equal(x.grad[0, 0, :, 2 * k : 2 * k + 2].ravel(), expected)
     assert [int(np.argmax(np.array(w))) for w in windows] == [1, 1, 3, 0]
 
 
 def test_affine_identity_and_shapes():
-    x = RNG.normal(size=5)
+    x = RNG.normal(size=(1, 5))
     out = affine(Tensor(x), Tensor(np.eye(5)), Tensor(np.zeros(5)))
     assert np.array_equal(out.data, x)
 
     big = affine(
-        Tensor(RNG.normal(size=1152)),
+        Tensor(RNG.normal(size=(1, 1152))),
         Tensor(RNG.normal(size=(64, 1152)) * 0.01),
         Tensor(np.zeros(64)),
     )
-    assert big.data.shape == (64,)
+    assert big.data.shape == (1, 64)
 
 
 def test_affine_matches_loop_reference():
-    x = RNG.normal(size=9)
+    x = RNG.normal(size=(1, 9))
     w = RNG.normal(size=(4, 9))
     b = RNG.normal(size=4)
     out = affine(Tensor(x), Tensor(w), Tensor(b))
-    assert np.max(np.abs(out.data - affine_loop(x, w, b))) < 1e-12
+    assert np.max(np.abs(out.data[0] - affine_loop(x[0], w, b))) < 1e-12
 
 
 def test_affine_rejects_mismatch():
     with pytest.raises(ShapeError):
-        affine(Tensor(np.zeros(3)), Tensor(np.zeros((4, 5))), Tensor(np.zeros(4)))
+        affine(Tensor(np.zeros((1, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(4)))
 
 
 def test_l2_normalize_values():
-    out = l2_normalize(Tensor(np.array([3.0, 4.0])))
-    assert np.allclose(out.data, [0.6, 0.8], atol=1e-15)
+    out = l2_normalize(Tensor(np.array([[3.0, 4.0]])))
+    assert np.allclose(out.data, [[0.6, 0.8]], atol=1e-15)
 
-    unit = RNG.normal(size=16)
+    unit = RNG.normal(size=(1, 16))
     unit /= np.linalg.norm(unit)
     assert np.allclose(l2_normalize(Tensor(unit)).data, unit, atol=1e-12)
 
-    vec = RNG.normal(size=64)
+    vec = RNG.normal(size=(1, 64))
     assert abs(np.linalg.norm(l2_normalize(Tensor(vec)).data) - 1.0) < 1e-9
 
 
 def test_l2_normalize_rejects_near_zero():
     with pytest.raises(DegenerateInputError):
-        l2_normalize(Tensor(np.zeros(8)))
+        l2_normalize(Tensor(np.zeros((1, 8))))
 
 
 def test_l2_normalize_jacobian_matches_finite_differences():
-    vec = Tensor(RNG.normal(size=64))
+    vec = Tensor(RNG.normal(size=(1, 64)))
     probe = RNG.normal(size=64)
 
     def f(t):
         y = l2_normalize(t)
         return Tensor(
-            float(y.data @ probe), (y,), lambda g: y.accumulate_grad(float(g) * probe)
+            float(y.data[0] @ probe), (y,), lambda g: y.accumulate_grad(float(g) * probe[None])
         )
 
     assert finite_diff_gradcheck(f, vec, h=1e-6) < 1e-6
@@ -360,7 +351,7 @@ def test_l2_normalize_jacobian_matches_finite_differences():
 @pytest.mark.parametrize("trial", range(5))
 def test_all_ops_backward_match_finite_differences(trial):
     rng = np.random.default_rng(100 + trial)
-    x = Tensor(rng.normal(size=(2, 6, 6)))
+    x = Tensor(rng.normal(size=(1, 2, 6, 6)))
     w = Tensor(rng.normal(size=(3, 2, 3, 3)))
     b = Tensor(rng.normal(size=3))
     assert finite_diff_gradcheck(lambda t: sum_squares(conv2d(t, w, b, 1)), x, 1e-5) < 1e-4
@@ -368,16 +359,16 @@ def test_all_ops_backward_match_finite_differences(trial):
     assert finite_diff_gradcheck(lambda t: sum_squares(conv2d(x, w, t, 1)), b, 1e-5) < 1e-4
 
     # keep relu away from 0 and pooling away from ties
-    xr = Tensor(rng.normal(size=(2, 4, 4)) + np.where(rng.normal(size=(2, 4, 4)) > 0, 0.5, -0.5))
+    xr = Tensor(rng.normal(size=(1, 2, 4, 4)) + np.where(rng.normal(size=(1, 2, 4, 4)) > 0, 0.5, -0.5))
     assert finite_diff_gradcheck(lambda t: sum_squares(relu(t)), xr, 1e-6) < 1e-4
     assert finite_diff_gradcheck(lambda t: sum_squares(maxpool2x2(t)), xr, 1e-6) < 1e-4
 
-    xa = Tensor(rng.normal(size=7))
+    xa = Tensor(rng.normal(size=(1, 7)))
     wa = Tensor(rng.normal(size=(4, 7)))
     ba = Tensor(rng.normal(size=4))
     assert finite_diff_gradcheck(lambda t: sum_squares(affine(t, wa, ba)), xa, 1e-6) < 1e-4
     assert finite_diff_gradcheck(lambda t: sum_squares(affine(xa, t, ba)), wa, 1e-6) < 1e-4
-    assert finite_diff_gradcheck(lambda t: sum_squares(l2_normalize(t)), Tensor(rng.normal(size=9)), 1e-6) < 1e-4
+    assert finite_diff_gradcheck(lambda t: sum_squares(l2_normalize(t)), Tensor(rng.normal(size=(1, 9))), 1e-6) < 1e-4
     assert finite_diff_gradcheck(lambda t: sum_squares(flatten(t)), xr, 1e-6) < 1e-4
 
 
@@ -390,9 +381,9 @@ def test_gradcheck_relu_affine_away_from_kinks():
     rng = np.random.default_rng(5)
     w = Tensor(rng.normal(size=(6, 8)))
     b = Tensor(rng.normal(size=6) + 1.0)
-    x = Tensor(rng.normal(size=8))
+    x = Tensor(rng.normal(size=(1, 8)))
     # shift so no pre-activation sits near zero
-    pre = w.data @ x.data + b.data
+    pre = w.data @ x.data[0] + b.data
     assert np.min(np.abs(pre)) > 1e-3
     err = finite_diff_gradcheck(lambda t: sum_squares(relu(affine(t, w, b))), x, 1e-5)
     assert err < 1e-5
@@ -420,7 +411,7 @@ def test_gradcheck_rejects_bad_arguments():
 
 
 def test_operations_are_deterministic():
-    x = RNG.normal(size=(3, 8, 8))
+    x = RNG.normal(size=(1, 3, 8, 8))
     w = RNG.normal(size=(4, 3, 3, 3))
     b = RNG.normal(size=4)
     a = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=1).data
@@ -433,12 +424,12 @@ def test_gradients_accumulate_across_backward_calls():
     w = Tensor(RNG.normal(size=(2, 3)))
     b = Tensor(np.zeros(2))
     for expected in (1, 2):
-        out = sum_squares(affine(Tensor(np.ones(3), requires_grad=False), w, b))
+        out = sum_squares(affine(Tensor(np.ones((1, 3)), requires_grad=False), w, b))
         out.backward()
         assert w.grad is not None
     # second pass doubled the accumulated gradient
     single = Tensor(w.data.copy())
-    out = sum_squares(affine(Tensor(np.ones(3), requires_grad=False), single, Tensor(np.zeros(2))))
+    out = sum_squares(affine(Tensor(np.ones((1, 3)), requires_grad=False), single, Tensor(np.zeros(2))))
     out.backward()
     assert np.allclose(w.grad, 2.0 * single.grad)
 
@@ -448,7 +439,7 @@ def test_second_backward_over_a_spent_graph_raises():
     a new graph built on it, raises and adds nothing to any gradient."""
     w = Tensor(RNG.normal(size=(2, 3)))
     b = Tensor(np.zeros(2))
-    out = sum_squares(affine(Tensor(np.ones(3), requires_grad=False), w, b))
+    out = sum_squares(affine(Tensor(np.ones((1, 3)), requires_grad=False), w, b))
     out.backward()
     first = w.grad.copy()
     with pytest.raises(RuntimeError, match="already backpropagated"):
@@ -486,7 +477,7 @@ def test_ops_over_inputs_without_gradient_record_no_graph():
 
 
 def test_outputs_finite_on_finite_inputs():
-    x = Tensor(RNG.normal(size=(2, 10, 10)) * 100)
+    x = Tensor(RNG.normal(size=(1, 2, 10, 10)) * 100)
     w = Tensor(RNG.normal(size=(3, 2, 3, 3)) * 100)
     b = Tensor(RNG.normal(size=3))
     out = maxpool2x2(relu(conv2d(x, w, b, stride=1)))

@@ -209,6 +209,13 @@ def test_rmsprop_rejects_non_finite_and_names_layer():
         rmsprop_step(params, {"conv1_w": np.array([np.nan, 1.0])}, {}, 0.1)
 
 
+def test_rmsprop_rejects_a_missing_gradient_and_names_layer():
+    """A layer without a gradient is an error, not a layer left as it is."""
+    params = {"conv1_w": Tensor(np.zeros(2)), "fc_b": Tensor(np.zeros(2))}
+    with pytest.raises(ValueError, match="no gradient for layer fc_b"):
+        rmsprop_step(params, {"conv1_w": np.ones(2)}, {}, 0.1)
+
+
 def test_train_names_round_iteration_and_layer_of_a_non_finite_gradient(monkeypatch):
     """conv2_w's gradient turns NaN from round 1, iteration 0 on: two
     iterations of two triplets per round, one worker, so from call 4."""
