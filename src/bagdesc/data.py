@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -690,49 +691,54 @@ def save_dataset(dataset: BagDataset, path) -> None:
 def load_dataset(path, split: str = "") -> BagDataset:
     """Read a dataset file back; any structural inconsistency is an error.
 
-    The file's float32 values are copied once into one contiguous float32
-    [bags, n, 3, 32, 32] split array, and every bag's pixels are a view of
-    it, so a loaded split holds the memory of its pixel bytes.
+    Each record's float32 values are read straight from the file into one
+    contiguous [bags, n, 3, 32, 32] split array, and every bag's pixels are
+    a view of it, so a loaded split holds, and while loading peaks at, the
+    memory of its pixel bytes.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[: len(DATASET_MAGIC)] != DATASET_MAGIC:
-        raise DataError(f"bad magic {raw[:8]!r}")
-    newline = raw.find(b"\n", len(DATASET_MAGIC))
-    if newline < 0:
-        raise DataError("missing header line")
-    try:
-        header = json.loads(raw[len(DATASET_MAGIC) : newline].decode("ascii"))
-        counts = [header[key] for key in ("num_objects", "views_per_object", "n", "patch_side")]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise DataError(f"malformed header: {exc}") from exc
-    if any(type(c) is not int for c in counts):
-        raise DataError(f"header counts must be integers, got {header}")
-    num_objects, views_per_object, n, patch_side = counts
-    if patch_side != PATCH_SIDE:
-        raise DataError(f"unsupported patch side {patch_side}")
-    if min(num_objects, views_per_object, n) < 1:
-        raise DataError(f"header counts must be positive, got {header}")
-    record = np.dtype([("ids", "<u4", 3), ("pixels", "<f4", (n, *PATCH_SHAPE))])
-    count, start = num_objects * views_per_object, newline + 1
-    whole = (len(raw) - start) // record.itemsize
-    if whole < count:
-        raise DataError(f"truncated record at byte offset {start + whole * record.itemsize}")
-    end = start + count * record.itemsize
-    if end != len(raw):
-        raise DataError(f"{len(raw) - end} trailing bytes after the last record")
-    records = np.frombuffer(raw, dtype=record, count=count, offset=start)
-    ids = records["ids"]
+        magic = fh.read(len(DATASET_MAGIC))
+        if magic != DATASET_MAGIC:
+            raise DataError(f"bad magic {magic!r}")
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise DataError("missing header line")
+        try:
+            header = json.loads(line[:-1].decode("ascii"))
+            counts = [header[key] for key in ("num_objects", "views_per_object", "n", "patch_side")]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"malformed header: {exc}") from exc
+        if any(type(c) is not int for c in counts):
+            raise DataError(f"header counts must be integers, got {header}")
+        num_objects, views_per_object, n, patch_side = counts
+        if patch_side != PATCH_SIDE:
+            raise DataError(f"unsupported patch side {patch_side}")
+        if min(num_objects, views_per_object, n) < 1:
+            raise DataError(f"header counts must be positive, got {header}")
+        count, start = num_objects * views_per_object, fh.tell()
+        record_size = 3 * 4 + n * int(np.prod(PATCH_SHAPE)) * 4  # uint32 object, view, n; float32 pixels
+        size = os.fstat(fh.fileno()).st_size
+        whole = (size - start) // record_size
+        if whole < count:
+            raise DataError(f"truncated record at byte offset {start + whole * record_size}")
+        end = start + count * record_size
+        if end != size:
+            raise DataError(f"{size - end} trailing bytes after the last record")
+        ids = np.empty((count, 3), dtype="<u4")
+        pixels = np.empty((count, n, *PATCH_SHAPE), dtype="<f4")
+        for i in range(count):
+            if fh.readinto(ids[i]) + fh.readinto(pixels[i]) != record_size:
+                raise DataError(f"truncated record at byte offset {start + i * record_size}")
 
     def first(bad: np.ndarray) -> int:
-        return start + int(np.argmax(bad)) * record.itemsize
+        return start + int(np.argmax(bad)) * record_size
 
     bad_n = ids[:, 2] != n
     if bad_n.any():
         raise DataError(
             f"bag at byte offset {first(bad_n)} declares n={ids[bad_n][0, 2]}, header says n={n}"
         )
-    values = records["pixels"].reshape(count, -1)
+    values = pixels.reshape(count, -1)
     in_range = (values.min(axis=1) >= 0.0) & (values.max(axis=1) <= 1.0)  # False on NaN
     if not in_range.all():
         raise DataError(
@@ -740,6 +746,5 @@ def load_dataset(path, split: str = "") -> BagDataset:
         )
     if np.any(np.unique(ids[:, 0], return_counts=True)[1] != views_per_object):
         raise DataError(f"records do not form {num_objects} objects of {views_per_object} views")
-    pixels = np.array(records["pixels"], dtype=np.float32)
     bags = [PatchBag(o, v, pixels[i]) for i, (o, v, _) in enumerate(ids.tolist())]
     return BagDataset(bags, n, split)

@@ -16,12 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import BagDataset, BagTriplet, sample_triplet
+from .data import BagDataset, BagTriplet, PatchBag, sample_triplet
 from .matching import GramPair, MatchConfig, soft_match_backward, soft_match_score
-from .net import DescriptorNet, describe_bags, forward_bag, init_net
+from .net import DescriptorNet, describe, describe_bags, forward_bag, init_net
 from .tensor import DegenerateInputError, Tensor
-# Unused here, but perfbench/tracer.py wraps this name in this module.
-from .net import describe  # noqa: F401
 
 __all__ = [
     "TrainConfig",
@@ -105,24 +103,56 @@ def ratio_loss(score_pos: float, score_neg: float) -> float:
     return score_neg / (score_pos + RATIO_EPSILON)
 
 
-def triplet_loss(net: DescriptorNet, triplet: BagTriplet, cfg: MatchConfig) -> tuple[float, dict]:
+def _bag_key(bag: PatchBag) -> tuple[int, int]:
+    """A bag's identity within a split: (object id, view id)."""
+    return bag.object_id, bag.view_id
+
+
+def _slots(triplets: list[BagTriplet]) -> dict[tuple[int, int], list[PatchBag]]:
+    """The bag of every slot of `triplets`, grouped under its `_bag_key`."""
+    slots: dict = {}
+    for t in triplets:
+        for bag in (t.anchor, t.positive, t.negative):
+            slots.setdefault(_bag_key(bag), []).append(bag)
+    return slots
+
+
+def _graph(net: DescriptorNet, pixels: np.ndarray) -> tuple[Tensor, dict[str, Tensor]]:
+    """`forward_bag` of `pixels` with a gradient graph, and the leaf Tensors it
+    records against: this call's own, sharing the net's parameter arrays, so
+    the net itself is only read and concurrent calls do not interfere."""
+    params = {name: Tensor(p.data) for name, p in net.params.items()}
+    return forward_bag(DescriptorNet(params, net.channels, net.descriptor_dim), pixels), params
+
+
+def triplet_loss(
+    net: DescriptorNet, triplet: BagTriplet, cfg: MatchConfig, shared: dict | None = None
+) -> tuple[float, dict]:
     """Ratio loss of one triplet and its gradient for every parameter.
 
-    The graph is built over leaf Tensors of this call's own that share the
-    net's parameter arrays, so the net itself is only read and concurrent
-    calls do not interfere. The three bags' float32 pixels are concatenated
-    and run through the extractor as one stacked batch, which `forward`
-    widens to float64 once; the anchor's two gradient contributions (it
-    appears in both scores) are summed before the single backward pass.
+    The bags' float32 pixels are concatenated and run through the extractor
+    as one stacked batch (see `_graph`), which `forward` widens to float64
+    once; the anchor's two gradient contributions (it appears in both
+    scores) are summed before the single backward pass.
+
+    `shared` maps the keys (`_bag_key`) of bags described elsewhere to their
+    descriptor rows. Those bags are read from it instead of forwarded, and
+    the gradient with respect to each one's rows is returned in the same
+    dict, under its key; the parameter gradients then cover the other bags
+    alone, and are absent when the triplet has none.
     """
-    params = {name: Tensor(p.data) for name, p in net.params.items()}
+    shared = shared or {}
     n = triplet.anchor.n
     bags = (triplet.anchor, triplet.positive, triplet.negative)
-    stacked = np.concatenate([bag.pixel_stack() for bag in bags])
-    desc = forward_bag(DescriptorNet(params, net.channels, net.descriptor_dim), stacked)
-    rows = desc.data
-    pair_pos = GramPair(rows[:n], rows[n : 2 * n])
-    pair_neg = GramPair(rows[:n], rows[2 * n :])
+    keys = [_bag_key(bag) for bag in bags]
+    own = [i for i, key in enumerate(keys) if key not in shared]
+    rows = [shared.get(key) for key in keys]
+    if own:
+        desc, params = _graph(net, np.concatenate([bags[i].pixel_stack() for i in own]))
+        for j, i in enumerate(own):
+            rows[i] = desc.data[j * n : (j + 1) * n]
+    pair_pos = GramPair(rows[0], rows[1])
+    pair_neg = GramPair(rows[0], rows[2])
     score_pos = soft_match_score(pair_pos, cfg)
     score_neg = soft_match_score(pair_neg, cfg)
     loss = ratio_loss(score_pos, score_neg)
@@ -130,8 +160,13 @@ def triplet_loss(net: DescriptorNet, triplet: BagTriplet, cfg: MatchConfig) -> t
     d_pos = -score_neg / (score_pos + RATIO_EPSILON) ** 2
     da_neg, dn = soft_match_backward(pair_neg, cfg, upstream=d_neg)
     da_pos, dp = soft_match_backward(pair_pos, cfg, upstream=d_pos)
-    desc.backward(np.concatenate([da_neg + da_pos, dp, dn]))
-    return loss, {name: p.grad for name, p in params.items()}
+    slot_grads = (da_neg + da_pos, dp, dn)
+    grads = {}
+    if own:
+        desc.backward(np.concatenate([slot_grads[i] for i in own]))
+        grads = {name: p.grad for name, p in params.items()}
+    grads.update((key, g) for key, g in zip(keys, slot_grads) if key in shared)
+    return loss, grads
 
 
 def rmsprop_step(params: dict, grads: dict, state: dict, lr: float) -> None:
@@ -152,6 +187,23 @@ def rmsprop_step(params: dict, grads: dict, state: dict, lr: float) -> None:
         param.data -= lr * g / (np.sqrt(v) + RMSPROP_EPS)
 
 
+def _bag_gradients(net: DescriptorNet, pixels: np.ndarray, seed: np.ndarray) -> dict:
+    """Parameter gradients of one bag's rows under the row gradient `seed`."""
+    desc, params = _graph(net, pixels)
+    desc.backward(seed)
+    return {name: p.grad for name, p in params.items()}
+
+
+def _add_into(total: dict, grads: dict) -> None:
+    """Add each array of `grads` into `total` under its key; an array for a
+    key `total` lacks is adopted, not copied."""
+    for key, g in grads.items():
+        if key in total:
+            total[key] += g
+        else:
+            total[key] = g
+
+
 def _batch_gradients(
     net: DescriptorNet,
     triplets: list[BagTriplet],
@@ -160,20 +212,35 @@ def _batch_gradients(
 ) -> tuple[float, dict]:
     """Summed parameter gradients (and mean loss) over a batch of triplets.
 
-    `triplet_loss` runs on `threads` workers; each returns gradient arrays
-    of its own, which are summed in list order, so the result does not
-    depend on the thread count.
+    A bag (keyed by `_bag_key`) in more than one of the batch's slots is
+    shared. Three phases run on one pool of `threads` workers:
+    1. each shared bag is described once, without a graph;
+    2. `triplet_loss` runs per triplet on the rows of (1): it forwards and
+       backpropagates the triplet's other bags and hands back each shared
+       bag's row gradient;
+    3. each shared bag's row gradients, summed in triplet order, seed one
+       forward with a graph and one backward over that bag.
+    `Tensor.backward` is linear in its seed and every layer maps each patch
+    on its own, so (3) gives the gradient of every slot the bag fills, and
+    a bag's rows do not depend on the stack it is forwarded in (tested at
+    one BLAS thread), so every loss is the one `triplet_loss` gives alone. Parameter gradients are
+    summed as each triplet's arrive, in list order, then each shared bag's
+    in key order, so the result does not depend on the thread count. A
+    batch with no shared bag runs phase 2 alone.
     """
+    shared = {key: bags[0] for key, bags in sorted(_slots(triplets).items()) if len(bags) > 1}
+    # The running sum also gathers each shared bag's row gradient, under its
+    # key, until phase 3 takes it out.
     total: dict = {}
     losses = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for loss, grads in pool.map(lambda t: triplet_loss(net, t, cfg), triplets):
+        rows = dict(zip(shared, pool.map(lambda bag: describe(net, bag.pixel_stack()), shared.values())))
+        for loss, grads in pool.map(lambda t: triplet_loss(net, t, cfg, rows), triplets):
             losses.append(loss)
-            for name, g in grads.items():
-                if name in total:
-                    total[name] += g
-                else:
-                    total[name] = g  # the first triplet's own array
+            _add_into(total, grads)
+        seeds = {key: total.pop(key) for key in shared}
+        for grads in pool.map(lambda key: _bag_gradients(net, shared[key].pixel_stack(), seeds[key]), shared):
+            _add_into(total, grads)
     return float(np.mean(losses)), total
 
 
@@ -211,18 +278,15 @@ def _triplet_pairs(
     net: DescriptorNet, triplets: list[BagTriplet], threads: int = 1
 ) -> list[tuple[GramPair, GramPair]]:
     """Each triplet's (anchor-positive, anchor-negative) GramPairs. Distinct
-    bags, keyed by (object id, view id), are described once (a triplet list
-    reuses bags heavily), one bag per task on `threads` workers.
+    bags (`_slots`) are described once (a triplet list reuses bags
+    heavily), one bag per task on `threads` workers.
     """
-    keyed = {}
-    for t in triplets:
-        for bag in (t.anchor, t.positive, t.negative):
-            keyed.setdefault((bag.object_id, bag.view_id), bag)
+    keyed = _slots(triplets)
     keys = sorted(keyed)
-    descs = dict(zip(keys, describe_bags(net, [keyed[key].pixel_stack() for key in keys], threads)))
+    descs = dict(zip(keys, describe_bags(net, [keyed[key][0].pixel_stack() for key in keys], threads)))
 
     def pair(a, b):
-        return GramPair(descs[(a.object_id, a.view_id)], descs[(b.object_id, b.view_id)])
+        return GramPair(descs[_bag_key(a)], descs[_bag_key(b)])
 
     return [(pair(t.anchor, t.positive), pair(t.anchor, t.negative)) for t in triplets]
 

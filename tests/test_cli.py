@@ -274,8 +274,8 @@ def test_non_finite_gradient_fails_train_and_writes_nothing(generated, tmp_path,
     real = train_module.triplet_loss
     calls = []
 
-    def poisoned(net, triplet, match_cfg):
-        loss, grads = real(net, triplet, match_cfg)
+    def poisoned(net, triplet, match_cfg, shared=None):
+        loss, grads = real(net, triplet, match_cfg, shared)
         if len(calls) >= 4:
             grads["conv2_w"][0, 0, 0, 0] = np.nan
         calls.append(loss)
@@ -299,12 +299,12 @@ def test_degenerate_descriptor_fails_train_and_writes_nothing(generated, tmp_pat
     real = train_module.triplet_loss
     calls = []
 
-    def degenerate(net, triplet, match_cfg):
+    def degenerate(net, triplet, match_cfg, shared=None):
         calls.append(triplet)
         if len(calls) > 4:
             zeros = {name: Tensor(np.zeros_like(p.data)) for name, p in net.params.items()}
             net = DescriptorNet(zeros, net.channels, net.descriptor_dim)
-        return real(net, triplet, match_cfg)
+        return real(net, triplet, match_cfg, shared)
 
     monkeypatch.setattr(train_module, "triplet_loss", degenerate)
     out = tmp_path / "out"

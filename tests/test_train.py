@@ -11,6 +11,7 @@ from bagdesc.net import (
     REDUCED_CHANNELS,
     REDUCED_DESCRIPTOR_DIM,
     DescriptorNet,
+    describe,
     forward_bag,
     init_net,
 )
@@ -222,8 +223,8 @@ def test_train_names_round_iteration_and_layer_of_a_non_finite_gradient(monkeypa
     real = train_module.triplet_loss
     calls = []
 
-    def poisoned(net, triplet, cfg):
-        loss, grads = real(net, triplet, cfg)
+    def poisoned(net, triplet, cfg, shared=None):
+        loss, grads = real(net, triplet, cfg, shared)
         if len(calls) >= 4:
             grads["conv2_w"][0, 0, 0, 0] = np.nan
         calls.append(loss)
@@ -251,9 +252,9 @@ def test_train_names_round_and_iteration_of_a_degenerate_descriptor(monkeypatch)
     real = train_module.triplet_loss
     calls = []
 
-    def degenerate(net, triplet, cfg):
+    def degenerate(net, triplet, cfg, shared=None):
         calls.append(triplet)
-        return real(_zero_net(net) if len(calls) > 4 else net, triplet, cfg)
+        return real(_zero_net(net) if len(calls) > 4 else net, triplet, cfg, shared)
 
     monkeypatch.setattr(train_module, "triplet_loss", degenerate)
     cfg = TrainConfig(iters_per_round=2, triplets_per_round=4, batch_size=2, rounds=3, val_triplets=2)
@@ -451,25 +452,67 @@ def test_threaded_batch_matches_single_threaded():
 
 
 def test_batch_gradients_leave_the_net_untouched():
-    """Workers never write the caller's net; their grads sum in list order."""
+    """Workers never write the caller's net. With no shared bag the batch
+    is each triplet's `triplet_loss`, its gradients summed in list order.
+    When bags are shared, the loss is still the triplets' mean, bit for bit,
+    and the gradients are those of the documented order: each triplet's on
+    the shared bags' described rows, then each shared bag's backward, in
+    key order, seeded with its row gradients summed in triplet order."""
     from bagdesc.data import sample_triplet
 
     ds = make_dataset(seed=11)
     rng = np.random.default_rng(12)
-    triplets = [sample_triplet(ds, rng) for _ in range(3)]
+    unshared = [sample_triplet(ds, rng) for _ in range(3)]
+    views = ds.by_object
+    sharing = unshared + [
+        BagTriplet(unshared[0].anchor, unshared[0].positive, unshared[1].anchor),
+        BagTriplet(views[3][2], unshared[0].negative, views[0][2]),
+    ]
     cfg = MatchConfig(tau=0.5, beta=10.0)
     net = init_net(7, channels=REDUCED_CHANNELS, descriptor_dim=REDUCED_DESCRIPTOR_DIM)
     before = {name: p.data.copy() for name, p in net.params.items()}
-    loss, grads = _batch_gradients(net, triplets, cfg, threads=2)
-    for name, p in net.params.items():
-        assert p.grad is None
-        assert np.array_equal(p.data, before[name])
 
-    results = [triplet_loss(net, t, cfg) for t in triplets]
-    assert loss == float(np.mean([r[0] for r in results]))
-    assert set(grads) == set(net.params)
-    for name in net.params:
-        want = results[0][1][name].copy()
-        for _, per_triplet in results[1:]:
-            want += per_triplet[name]
-        assert np.array_equal(grads[name], want)
+    def summed(results):
+        total = {name: results[0][name].copy() for name in net.params}
+        for grads in results[1:]:
+            for name in net.params:
+                total[name] += grads[name]
+        return total
+
+    for batch in (unshared, sharing):
+        loss, grads = _batch_gradients(net, batch, cfg, threads=2)
+        for name, p in net.params.items():
+            assert p.grad is None
+            assert np.array_equal(p.data, before[name])
+        assert set(grads) == set(net.params)
+        naive = [triplet_loss(net, t, cfg) for t in batch]
+        assert loss == float(np.mean([r[0] for r in naive]))
+        want = summed([r[1] for r in naive])
+        if batch is unshared:
+            for name in net.params:
+                assert np.array_equal(grads[name], want[name])
+            continue
+        # The naive sum associates differently; 1e-12 of a gradient's
+        # largest entry is far above that rounding and far below any
+        # missed or doubled slot.
+        for name in net.params:
+            assert np.max(np.abs(grads[name] - want[name])) <= 1e-12 * np.max(np.abs(want[name]))
+
+        keys = [(0, 0), (2, 0), (2, 2), (3, 0)]
+        bags = {(b.object_id, b.view_id): b for t in batch for b in (t.anchor, t.positive, t.negative)}
+        rows = {key: describe(net, bags[key].pixels) for key in keys}
+        results = [triplet_loss(net, t, cfg, rows)[1] for t in batch]
+        # The fourth triplet has no bag of its own to forward.
+        want = summed([r for r in results if "conv1_w" in r])
+        for key in keys:
+            seeds = [r[key] for r in results if key in r]
+            seed = seeds[0].copy()
+            for g in seeds[1:]:
+                seed += g
+            params = {name: Tensor(p.data) for name, p in net.params.items()}
+            forward_bag(DescriptorNet(params, net.channels, net.descriptor_dim), bags[key].pixels).backward(seed)
+            for name in net.params:
+                want[name] += params[name].grad
+        for name in net.params:
+            assert np.array_equal(grads[name], want[name])
+
