@@ -17,6 +17,7 @@ from bagdesc.data import (
     fast_detect,
     generate_scene,
     load_dataset,
+    rgb_to_gray,
     sample_triplet,
     save_dataset,
 )
@@ -28,7 +29,7 @@ def main():
           f"({views[0].pixels.shape[1]}x{views[0].pixels.shape[2]} px)")
     for view in views:
         small = downsample4(view.pixels)
-        detections = fast_detect(small, 0.05, 75)
+        detections = fast_detect(rgb_to_gray(small), 0.05, 75)
         print(f"  view {view.view_id}: {len(detections)} corners on the "
               f"{small.shape[1]}x{small.shape[2]} downsampled image, "
               f"strongest score {detections[0][2]:.3f}")

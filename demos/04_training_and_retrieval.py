@@ -19,11 +19,12 @@ from bagdesc.retrieval import build_match_index, kmeans, rank_and_score, sweep_t
 from bagdesc.train import TrainConfig, calibrate_match, train
 
 
-def vlad_nn(net, tuning, target, k=8):
+def vlad_nn(net, tuning, target_descs, target_ids, k=8):
+    """NN of the target's [B, n, d] descriptors under a codebook fit on `tuning`."""
     pool = build_match_index(net, tuning).reshape(-1, net.descriptor_dim)
     codebook = kmeans(pool, k, seed=5)
-    vlads = np.stack([vlad_encode(desc, codebook) for desc in build_match_index(net, target)])
-    return rank_and_score(vlads @ vlads.T, [b.object_id for b in target.bags])[0]
+    vlads = np.stack([vlad_encode(desc, codebook) for desc in target_descs])
+    return rank_and_score(vlads @ vlads.T, target_ids)[0]
 
 
 def main():
@@ -50,18 +51,18 @@ def main():
         print(f"  round {r.round_index}: train {r.train_loss:.4f}  val {r.val_loss:.4f}  lr {r.lr:.6f}")
 
     grid = [0.02, 0.05, 0.1, 0.2, 0.3, 0.5]
-    random_net = init_net(999)
-    best_t, rows_t = sweep_tau(testset, net, grid)
-    best_r, rows_r = sweep_tau(testset, random_net, grid)
-    nn_t = max(r[1] for r in rows_t)
-    nn_r = max(r[1] for r in rows_r)
-    print(f"\nmatching-based retrieval on held-out objects (threshold tuned per model):")
-    print(f"  trained: NN {nn_t:.2f} (best tau {best_t})")
-    print(f"  random : NN {nn_r:.2f} (best tau {best_r})")
+    models = {"trained": net, "random": init_net(999)}
+    test_ids = [b.object_id for b in testset.bags]
+    # The test split is described once per model, for both kinds of retrieval.
+    test_descs = {name: build_match_index(model, testset) for name, model in models.items()}
+    print("\nmatching-based retrieval on held-out objects (threshold tuned per model):")
+    for name, descs in test_descs.items():
+        best, rows = sweep_tau(descs, test_ids, grid)
+        print(f"  {name:7s}: NN {max(r[1] for r in rows):.2f} (best tau {best})")
 
     print("\nVLAD retrieval at k=8 (codebook fit on the validation split):")
-    print(f"  trained: NN {vlad_nn(net, valset, testset):.2f}")
-    print(f"  random : NN {vlad_nn(random_net, valset, testset):.2f}")
+    for name, model in models.items():
+        print(f"  {name:7s}: NN {vlad_nn(model, valset, test_descs[name], test_ids):.2f}")
 
 
 if __name__ == "__main__":

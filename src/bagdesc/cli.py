@@ -37,7 +37,6 @@ from .matching import MatchConfig
 from .net import init_net, load_net, save_net
 from .retrieval import (
     build_match_index,
-    hard_score_matrix,
     kmeans,
     rank_and_score,
     sweep_tau,
@@ -224,25 +223,33 @@ def cmd_train(cfg: dict, out_dir: Path, data_dir: Path, threads: int) -> None:
     )
 
 
+def _described(net, path: Path, split: str, threads: int) -> tuple[np.ndarray, list[int]]:
+    """A split's [B, n, d] descriptors, described on `threads` workers, and
+    its bags' object ids; the bags themselves are dropped on return."""
+    dataset = load_dataset(path, split)
+    return build_match_index(net, dataset, threads), [bag.object_id for bag in dataset.bags]
+
+
+def _tuning_and_target(net, data_dir: Path, split: str, threads: int):
+    """`_described` of val, which tunes tau and fits codebooks, and of the
+    target split: the same pair when the target is val, so no bag is
+    described twice. Both files are checked before either is read."""
+    val_path, target_path = _dataset_paths(data_dir, "val", split)
+    tuning = _described(net, val_path, "val", threads)
+    return tuning, tuning if split == "val" else _described(net, target_path, split, threads)
+
+
 def cmd_eval_match(
     cfg: dict, out_dir: Path, data_dir: Path, model_path: Path, split: str, threads: int
 ) -> None:
     net = load_net(model_path)
-    val_path, target_path = _dataset_paths(data_dir, "val", split)
-    # One split in memory at a time: val is dropped once the sweep returns.
-    best_tau, sweep_rows = sweep_tau(
-        load_dataset(val_path, "val"), net, cfg["retrieval"]["tau_grid"], threads
-    )
-    if split == "val":  # the sweep has scored val at best_tau already
-        _, nn, ft, st = next(row for row in sweep_rows if row[0] == best_tau)
-    else:
-        target = load_dataset(target_path, split)
-        scores = hard_score_matrix(build_match_index(net, target, threads), [best_tau])[0]
-        nn, ft, st = rank_and_score(scores, [bag.object_id for bag in target.bags])
+    tuning, target = _tuning_and_target(net, data_dir, split, threads)
+    best_tau, sweep_rows = sweep_tau(*tuning, cfg["retrieval"]["tau_grid"])
+    # The target scored as a one-point sweep at the tuned tau.
+    _, target_rows = sweep_tau(*target, [best_tau])
+    [(_, nn, ft, st)] = target_rows
     write_score_rows(out_dir / "sweep_val.csv", ["tau", "NN", "FT", "ST"], sweep_rows)
-    write_score_rows(
-        out_dir / f"eval_match_{split}.csv", ["tau", "NN", "FT", "ST"], [(best_tau, nn, ft, st)]
-    )
+    write_score_rows(out_dir / f"eval_match_{split}.csv", ["tau", "NN", "FT", "ST"], target_rows)
     _write_manifest(
         out_dir,
         f"manifest_eval_match_{split}.json",
@@ -255,23 +262,15 @@ def cmd_eval_vlad(
     cfg: dict, out_dir: Path, data_dir: Path, model_path: Path, split: str, threads: int
 ) -> None:
     net = load_net(model_path)
-    val_path, target_path = _dataset_paths(data_dir, "val", split)
+    (tuning_desc, _), (target_desc, object_ids) = _tuning_and_target(net, data_dir, split, threads)
     kmeans_seed = int(split_seed(cfg["seed"])[2].generate_state(1)[0])
-    # One split in memory at a time: val is dropped once it is described.
-    target = load_dataset(val_path, "val")
-    target_desc = build_match_index(net, target, threads)
-    pool = target_desc.reshape(-1, net.descriptor_dim)
-    if split != "val":  # otherwise val's descriptors are the target's
-        del target
-        target = load_dataset(target_path, split)
-        target_desc = build_match_index(net, target, threads)
-    object_ids = [bag.object_id for bag in target.bags]
+    pool = tuning_desc.reshape(-1, net.descriptor_dim)
     rows = []
     for k in cfg["retrieval"]["k_list"]:
-        codebook = kmeans(pool, int(k), kmeans_seed, cfg["retrieval"]["kmeans_iters"])
+        codebook = kmeans(pool, k, kmeans_seed, cfg["retrieval"]["kmeans_iters"])
         vlads = np.stack([vlad_encode(desc, codebook) for desc in target_desc])
         nn, ft, st = rank_and_score(vlads @ vlads.T, object_ids)
-        rows.append((int(k), int(k) * net.descriptor_dim, nn, ft, st))
+        rows.append((k, k * net.descriptor_dim, nn, ft, st))
     write_score_rows(out_dir / f"eval_vlad_{split}.csv", ["k", "vlad_dim", "NN", "FT", "ST"], rows)
     _write_manifest(out_dir, f"manifest_eval_vlad_{split}.json", cfg, {"split": split, "rows": rows})
 
@@ -281,8 +280,7 @@ def cmd_sweep_tau(
 ) -> None:
     net = load_net(model_path)
     (path,) = _dataset_paths(data_dir, split)
-    dataset = load_dataset(path, split)
-    best_tau, rows = sweep_tau(dataset, net, cfg["retrieval"]["tau_grid"], threads)
+    best_tau, rows = sweep_tau(*_described(net, path, split, threads), cfg["retrieval"]["tau_grid"])
     write_score_rows(out_dir / f"sweep_{split}.csv", ["tau", "NN", "FT", "ST"], rows)
     _write_manifest(
         out_dir, f"manifest_sweep_{split}.json", cfg, {"split": split, "best_tau": best_tau}

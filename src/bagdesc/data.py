@@ -408,9 +408,7 @@ def generate_scene(
 
 
 def rgb_to_gray(pixels: np.ndarray) -> np.ndarray:
-    """Luma conversion: 0.299 R + 0.587 G + 0.114 B."""
-    if pixels.ndim == 2:
-        return np.asarray(pixels, dtype=np.float64)
+    """Luma of a [3,H,W] image: 0.299 R + 0.587 G + 0.114 B."""
     return 0.299 * pixels[0] + 0.587 * pixels[1] + 0.114 * pixels[2]
 
 
@@ -442,8 +440,8 @@ def _arc_min_scores(margins: np.ndarray) -> np.ndarray:
     return best
 
 
-def fast_detect(pixels, intensity_threshold: float, max_keypoints: int) -> list[tuple[int, int, float]]:
-    """Segment-test corners of a [C,H,W] or [H,W] image: (x, y, score), strongest first.
+def fast_detect(gray, intensity_threshold: float, max_keypoints: int) -> list[tuple[int, int, float]]:
+    """Segment-test corners of an [H,W] gray image: (x, y, score), strongest first.
 
     A pixel is a corner when at least 9 contiguous pixels on its radius-3
     circle are all brighter than center + t or all darker than center - t.
@@ -451,7 +449,9 @@ def fast_detect(pixels, intensity_threshold: float, max_keypoints: int) -> list[
     keeps the first (row-major) pixel on ties, and the top `max_keypoints`
     survivors are returned ordered by (-score, y, x).
     """
-    gray = rgb_to_gray(np.asarray(pixels, dtype=np.float64))
+    gray = np.asarray(gray, dtype=np.float64)
+    if gray.ndim != 2:
+        raise ShapeError(f"segment test needs an [H,W] gray image, got {gray.shape}")
     h, w = gray.shape
     if h < 7 or w < 7:
         raise DataError(f"image must be at least 7x7 for the segment test, got {h}x{w}")
@@ -512,7 +512,7 @@ def extract_bag(scene: SceneImage, n: int, patch_radius: int = PATCH_RADIUS) -> 
     check_bag_settings(n, patch_radius)
     small = downsample4(scene.pixels)
     h, w = small.shape[1:]
-    detections = fast_detect(small, FAST_THRESHOLD, MAX_KEYPOINTS)
+    detections = fast_detect(rgb_to_gray(small), FAST_THRESHOLD, MAX_KEYPOINTS)
     usable = [
         (x, y)
         for x, y, _ in detections

@@ -223,8 +223,6 @@ def load_net(path) -> DescriptorNet:
             f"parameter payload has {len(payload)} bytes, expected {4 * count}"
         )
     values = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    if not np.all(np.isfinite(values)):
-        raise IntegrityError("parameters contain non-finite values")
     params: dict[str, Tensor] = {}
     offset = 0
     for name, shape in zip(DescriptorNet.PARAM_NAMES, expected):

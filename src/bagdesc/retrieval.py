@@ -146,21 +146,18 @@ def default_tau_grid() -> np.ndarray:
 
 
 def sweep_tau(
-    dataset: BagDataset,
-    net: DescriptorNet,
+    descs: np.ndarray,
+    object_ids,
     tau_grid=None,
-    threads: int = 1,
 ) -> tuple[float, list[tuple[float, float, float, float]]]:
-    """Evaluate every threshold on the grid; best by NN, then FT, then
-    smallest tau. Bags are described on `threads` workers. Returns
-    (best_tau, [(tau, NN, FT, ST), ...])."""
+    """Score the [B, n, d] descriptors of a split, whose bags belong to
+    `object_ids`, at every threshold on the grid; best by NN, then FT, then
+    smallest tau. Returns (best_tau, [(tau, NN, FT, ST), ...])."""
     grid = default_tau_grid() if tau_grid is None else np.asarray(tau_grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("tau grid must not be empty")
     if np.any(grid <= 0.0) or np.any(grid >= 4.0):
         raise ValueError("tau grid values must lie in (0, 4)")
-    object_ids = [bag.object_id for bag in dataset.bags]
-    descs = build_match_index(net, dataset, threads)
     rows = [
         (float(tau), *rank_and_score(scores, object_ids))
         for tau, scores in zip(grid, hard_score_matrix(descs, grid))

@@ -181,7 +181,9 @@ def rmsprop_step(params: dict, grads: dict, state: dict, lr: float) -> None:
             raise ValueError(f"gradient for {name} has shape {g.shape}, expected {param.data.shape}")
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in layer {name}")
-        v = state.setdefault(name, np.zeros_like(param.data))
+        v = state.get(name)
+        if v is None:
+            v = state[name] = np.zeros_like(param.data)
         v *= RMSPROP_DECAY
         v += (1.0 - RMSPROP_DECAY) * g * g
         param.data -= lr * g / (np.sqrt(v) + RMSPROP_EPS)

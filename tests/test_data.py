@@ -218,6 +218,11 @@ def test_fast_rejects_tiny_images():
         fast_detect(np.zeros((6, 10)), 0.05, 10)
 
 
+def test_fast_takes_only_a_gray_image():
+    with pytest.raises(ShapeError, match=r"\[H,W\] gray"):
+        fast_detect(np.zeros((3, 32, 32)), 0.05, 10)
+
+
 def test_fast_white_square_corners():
     img = np.zeros((40, 40))
     img[12:28, 12:28] = 1.0
@@ -323,7 +328,7 @@ def test_extract_bag_keeps_fast_order_of_its_own_downsample(scene, monkeypatch):
     h, w = smalls[0].shape[1:]
     want = [
         (x, y)
-        for x, y, _ in fast_detect(smalls[0], data.FAST_THRESHOLD, data.MAX_KEYPOINTS)
+        for x, y, _ in fast_detect(rgb_to_gray(smalls[0]), data.FAST_THRESHOLD, data.MAX_KEYPOINTS)
         if 12 <= x <= w - 12 and 12 <= y <= h - 12
     ]
     assert bag.keypoints == want[:8]

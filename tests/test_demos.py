@@ -9,6 +9,7 @@ import pytest
 
 from bagdesc.data import BagDataset, PatchBag
 from bagdesc.net import init_net
+from bagdesc.retrieval import build_match_index
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -27,4 +28,6 @@ def test_training_demo_imports_and_its_helpers_run():
         [PatchBag(obj, view, rng.uniform(0, 1, (4, 3, 32, 32))) for obj in range(3) for view in range(2)],
         4,
     )
-    assert 0.0 <= demo["vlad_nn"](init_net(0), dataset, dataset, k=2) <= 1.0
+    net = init_net(0)
+    descs, ids = build_match_index(net, dataset), [bag.object_id for bag in dataset.bags]
+    assert 0.0 <= demo["vlad_nn"](net, dataset, descs, ids, k=2) <= 1.0

@@ -265,7 +265,7 @@ def test_load_rejects_corruption(tmp_path):
     payload = bytearray(raw)
     payload[header_end : header_end + 4] = np.array([np.nan], "<f4").tobytes()
     nan_payload.write_bytes(bytes(payload))
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match="conv1_w"):
         load_net(nan_payload)
 
 

@@ -194,6 +194,32 @@ def test_default_tau_grid():
     assert np.allclose(np.diff(grid), 0.05)
 
 
+def test_sweep_tau_scores_a_hand_built_split():
+    # Rows are basis vectors, so a row matches at squared distance 0 (the
+    # same vector) or 2 (another one). Below tau = 2 a bag's score is its
+    # share of rows that the other bag holds too; from 2 up every score is 1
+    # and the rankings fall back to row order.
+    e = np.eye(4)
+    descs = np.stack([[e[0], e[1]], [e[0], e[1]], [e[2], e[3]], [e[2], e[1]]])
+    ids = [0, 0, 1, 1]
+    # Below 2, bag 3 ties with every other bag at 0.5 and ranks bag 0 first;
+    # the other three queries rank their classmate first. From 2 up, bags 2
+    # and 3 rank bags 0 and 1 first.
+    best, rows = sweep_tau(descs, ids, [1.5, 3.0, 1.0])
+    assert rows == [(1.5, 0.75, 0.75, 0.75), (3.0, 0.5, 0.5, 0.5), (1.0, 0.75, 0.75, 0.75)]
+    assert best == 1.0  # the tie at the top goes to the smallest tau
+    assert sweep_tau(descs, ids, [3.0]) == (3.0, [(3.0, 0.5, 0.5, 0.5)])
+    best, rows = sweep_tau(descs, ids)
+    assert [row[0] for row in rows] == default_tau_grid().tolist()
+    assert best == 0.05
+    with pytest.raises(ValueError, match="empty"):
+        sweep_tau(descs, ids, [])
+    with pytest.raises(ValueError, match=r"\(0, 4\)"):
+        sweep_tau(descs, ids, [1.0, 4.0])
+    with pytest.raises(ValueError, match="object ids"):
+        sweep_tau(descs, ids[:3], [1.0])
+
+
 def sweep_fixture():
     # two objects, two identical views each, engineered so cross-object
     # descriptor distances are large
@@ -213,28 +239,29 @@ def test_sweep_tau_single_value_and_tie_rule():
     ds = sweep_fixture()
     net = init_net(0)
     descs = build_match_index(net, ds)
+    ids = [bag.object_id for bag in ds.bags]
     assert descs.shape == (4, 4, 64)
     # cross-object minimum squared distance bounds the usable range
     cross = sqdist_matrix(GramPair(descs[0], descs[2])).min()
     lo = float(cross) / 4.0
-    best, rows = sweep_tau(ds, net, [lo])
+    best, rows = sweep_tau(descs, ids, [lo])
     assert best == pytest.approx(lo)
     assert len(rows) == 1
     # duplicates rank first at every tau below the cross distance, so the
     # smallest grid value wins the tie
-    best, rows = sweep_tau(ds, net, [lo, cross * 0.9])
+    best, rows = sweep_tau(descs, ids, [lo, cross * 0.9])
     assert best == pytest.approx(lo)
     assert all(r[1] == 1.0 for r in rows)
     # the tie goes to the smallest tau wherever it sits in the grid
-    best, rows = sweep_tau(ds, net, [cross * 0.9, lo])
+    best, rows = sweep_tau(descs, ids, [cross * 0.9, lo])
     assert best == pytest.approx(lo)
-    best, rows = sweep_tau(ds, net, [3.9, 3.8])
+    best, rows = sweep_tau(descs, ids, [3.9, 3.8])
     assert rows[0][1:] == rows[1][1:]
     assert best == 3.8
     with pytest.raises(ValueError):
-        sweep_tau(ds, net, [])
+        sweep_tau(descs, ids, [])
     with pytest.raises(ValueError):
-        sweep_tau(ds, net, [5.0])
+        sweep_tau(descs, ids, [5.0])
 
 
 def test_describing_on_two_threads_matches_one():
@@ -244,8 +271,6 @@ def test_describing_on_two_threads_matches_one():
     net = init_net(2)
     one = build_match_index(net, ds, threads=1)
     assert np.array_equal(build_match_index(net, ds, threads=2), one)
-    grid = [0.02, 0.05, 0.1]
-    assert sweep_tau(ds, net, grid, threads=2) == sweep_tau(ds, net, grid, threads=1)
 
 
 def test_kmeans_k_equals_m():
