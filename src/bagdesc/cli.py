@@ -112,12 +112,12 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError(f"need at least 3 objects to form disjoint splits, got {d['objects']}")
     if d["views"] < 2:
         raise ConfigError("views must be at least 2")
-    try:
-        check_bag_settings(d["bag_size"], d["patch_radius"])
-    except DataError as exc:
-        raise ConfigError(str(exc)) from exc
     if d["image_size"] < MIN_SCENE_SIDE:
         raise ConfigError(f"image_size must be at least {MIN_SCENE_SIDE}")
+    try:
+        check_bag_settings(d["bag_size"], d["patch_radius"], d["image_size"])
+    except DataError as exc:
+        raise ConfigError(str(exc)) from exc
     if not (0 < d["train_fraction"] < 1 and 0 < d["val_fraction"] < 1):
         raise ConfigError("split fractions must lie in (0, 1)")
     counts = _split_counts(d)

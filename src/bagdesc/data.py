@@ -491,12 +491,18 @@ def _resize_patch(crop: np.ndarray) -> np.ndarray:
     return _bilinear_sample(crop, xq, yq)
 
 
-def check_bag_settings(bag_size: int, patch_radius: int) -> None:
-    """Reject a bag size outside [1, MAX_KEYPOINTS] or a patch radius below 1."""
+def check_bag_settings(bag_size: int, patch_radius: int, image_size: int) -> None:
+    """Reject a bag size outside [1, MAX_KEYPOINTS], or a patch radius below
+    1 or above image_size // 8: a corner needs r <= x <= image_size // 4 - r
+    in the downsampled scene, so no corner clears a wider border."""
     if not 1 <= bag_size <= MAX_KEYPOINTS:
         raise DataError(f"bag size must lie in [1, MAX_KEYPOINTS={MAX_KEYPOINTS}], got {bag_size}")
     if patch_radius < 1:
         raise DataError(f"patch radius must be at least 1, got {patch_radius}")
+    if patch_radius > image_size // 8:
+        raise DataError(
+            f"patch radius must be at most {image_size // 8} at {image_size} px, got {patch_radius}"
+        )
 
 
 def extract_bag(scene: SceneImage, n: int, patch_radius: int = PATCH_RADIUS) -> PatchBag:
@@ -509,7 +515,7 @@ def extract_bag(scene: SceneImage, n: int, patch_radius: int = PATCH_RADIUS) -> 
     every border, and each crop is bilinearly resampled to 32x32. Fewer than
     n usable corners is an error; bags are never padded.
     """
-    check_bag_settings(n, patch_radius)
+    check_bag_settings(n, patch_radius, min(scene.pixels.shape[1:]))
     small = downsample4(scene.pixels)
     h, w = small.shape[1:]
     detections = fast_detect(rgb_to_gray(small), FAST_THRESHOLD, MAX_KEYPOINTS)
@@ -609,7 +615,7 @@ def build_dataset(
         raise DataError("need at least 1 object and 2 views per object")
     if workers < 1:
         raise DataError(f"need at least 1 worker, got {workers}")
-    check_bag_settings(bag_size, patch_radius)
+    check_bag_settings(bag_size, patch_radius, image_size)
     render = functools.partial(
         _object_bags, seed, views_per_object, bag_size, image_size, patch_radius
     )

@@ -80,7 +80,8 @@ def _layer_shapes(channels, descriptor_dim):
 
 
 class DescriptorNet:
-    """Parameter container for the extractor, with named layer groups."""
+    """Parameter container for the extractor, with named layer groups. Nets
+    from `init_net` and `load_net` are read-only: their leaves take no gradient."""
 
     PARAM_NAMES = ("conv1_w", "conv1_b", "conv2_w", "conv2_b", "conv3_w",
                    "conv3_b", "conv4_w", "conv4_b", "fc_w", "fc_b")
@@ -107,16 +108,16 @@ class DescriptorNet:
 
 def init_net(seed: int, channels=FULL_CHANNELS,
              descriptor_dim=FULL_DESCRIPTOR_DIM) -> DescriptorNet:
-    """Fresh network: uniform weights scaled by 1/sqrt(fan_in), zero biases."""
+    """Fresh read-only network: uniform weights scaled by 1/sqrt(fan_in), zero biases."""
     rng = np.random.Generator(np.random.PCG64(seed))
     params: dict[str, Tensor] = {}
     for name, shape in zip(DescriptorNet.PARAM_NAMES, _layer_shapes(channels, descriptor_dim)):
         if name.endswith("_b"):
-            params[name] = Tensor(np.zeros(shape))
+            params[name] = Tensor(np.zeros(shape), requires_grad=False)
         else:
             fan_in = int(np.prod(shape[1:]))
             scale = 1.0 / np.sqrt(fan_in)
-            params[name] = Tensor(rng.uniform(-scale, scale, size=shape))
+            params[name] = Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=False)
     return DescriptorNet(params, channels, descriptor_dim)
 
 
@@ -126,10 +127,10 @@ def forward(net: DescriptorNet, patches) -> Tensor:
     The pixels (float32 as bags hold them, or float64) are widened to
     float64 straight into the batch-innermost [3,32,32,B] layout that conv1
     reads, in one copy, so every activation, gradient and descriptor is
-    float64. Returns a [B, descriptor_dim] Tensor, with a gradient graph
-    when the net's parameters require a gradient; every row has unit norm.
-    Its `backward` releases the graph's activations, so read none of them
-    afterwards. Raises ShapeError on any other shape and
+    float64. Returns a [B, descriptor_dim] Tensor of unit rows. Over a
+    read-only net it records no graph; over `train._graph`'s leaves it
+    records one, whose `backward` releases its activations, so read none
+    of them afterwards. Raises ShapeError on any other shape and
     DegenerateInputError when a pre-normalization row vanishes.
     """
     pixels = np.asarray(patches)
@@ -153,19 +154,8 @@ def forward_bag(net: DescriptorNet, pixels: np.ndarray) -> Tensor:
 
 
 def describe(net: DescriptorNet, pixels: np.ndarray) -> np.ndarray:
-    """Inference-only descriptors for [B,3,32,32] pixels (no gradient graph).
-
-    Runs one `forward` over leaf Tensors of its own that share the net's
-    arrays and take no gradient, so no op records a graph and each
-    activation is freed once the next layer has read it. Produces the same
-    values as `forward`.
-    """
-    frozen = DescriptorNet(
-        {name: Tensor(p.data, requires_grad=False) for name, p in net.params.items()},
-        net.channels,
-        net.descriptor_dim,
-    )
-    return forward(frozen, pixels).data
+    """The rows of `forward` over [B,3,32,32] pixels, as an array."""
+    return forward(net, pixels).data
 
 
 def describe_bags(net: DescriptorNet, stacks, threads: int = 1) -> list[np.ndarray]:
@@ -195,7 +185,7 @@ def save_net(net: DescriptorNet, path) -> None:
 
 
 def load_net(path) -> DescriptorNet:
-    """Read a model file back; rejects wrong magic, shapes, count, or values."""
+    """Read a model file back as a read-only net; rejects bad magic, shapes, count or values."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[: len(MODEL_MAGIC)] != MODEL_MAGIC:
@@ -227,6 +217,6 @@ def load_net(path) -> DescriptorNet:
     offset = 0
     for name, shape in zip(DescriptorNet.PARAM_NAMES, expected):
         size = int(np.prod(shape))
-        params[name] = Tensor(values[offset : offset + size].reshape(shape))
+        params[name] = Tensor(values[offset : offset + size].reshape(shape), requires_grad=False)
         offset += size
     return DescriptorNet(params, tuple(widths[:-1]), widths[-1])

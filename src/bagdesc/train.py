@@ -119,8 +119,9 @@ def _slots(triplets: list[BagTriplet]) -> dict[tuple[int, int], list[PatchBag]]:
 
 def _graph(net: DescriptorNet, pixels: np.ndarray) -> tuple[Tensor, dict[str, Tensor]]:
     """`forward_bag` of `pixels` with a gradient graph, and the leaf Tensors it
-    records against: this call's own, sharing the net's parameter arrays, so
-    the net itself is only read and concurrent calls do not interfere."""
+    records against: this call's own, sharing the net's parameter arrays.
+    They are the only leaves that take a gradient, so the net itself is only
+    read and concurrent calls do not interfere."""
     params = {name: Tensor(p.data) for name, p in net.params.items()}
     return forward_bag(DescriptorNet(params, net.channels, net.descriptor_dim), pixels), params
 

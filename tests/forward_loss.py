@@ -2,7 +2,9 @@
 
 `bagdesc.train.triplet_loss` always runs a backward pass; a central
 difference needs only the loss, so it calls this instead: one stacked
-`forward_bag`, then `GramPair`, then `ratio_loss`.
+`forward_bag`, then `GramPair`, then `ratio_loss`. Over a net from
+`init_net` or `load_net`, whose leaves take no gradient, that forward
+records no graph.
 """
 
 import numpy as np

@@ -548,11 +548,22 @@ def test_missing_split_is_an_error(generated, tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("bag_size", 0), ("bag_size", MAX_KEYPOINTS + 1), ("patch_radius", 0)]
+    "key, value",
+    [("bag_size", 0), ("bag_size", MAX_KEYPOINTS + 1), ("patch_radius", 0), ("patch_radius", 65)],
 )
 def test_resolve_config_rejects_bag_geometry(key, value):
     with pytest.raises(ConfigError, match=key.replace("_", " ")):
         resolve_config({"data": {key: value}})
+
+
+def test_resolve_config_accepts_the_widest_radius_a_scene_holds():
+    """A crop needs radius <= x <= image_size // 4 - radius, so 256 px holds
+    radius 32 and 512 px radius 64."""
+    for image_size, radius in ((256, 32), (512, 64)):
+        cfg = resolve_config({"data": {"image_size": image_size, "patch_radius": radius}})
+        assert cfg["data"]["patch_radius"] == radius
+    with pytest.raises(ConfigError, match="patch radius must be at most 32 at 256 px, got 33"):
+        resolve_config({"data": {"image_size": 256, "patch_radius": 33}})
 
 
 def test_seed_flag_overrides_config(generated, tmp_path):

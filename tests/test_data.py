@@ -421,7 +421,8 @@ def test_build_dataset_rejects_bad_radius_before_rendering(monkeypatch):
         return generate_scene(*args, **kwargs)
 
     monkeypatch.setattr(data, "generate_scene", counting_scene)
-    for radius in (0, -4):
+    # At 256 px the downsampled scene is 64 px wide, so a radius of 33 fits no corner.
+    for radius in (0, -4, 33):
         with pytest.raises(DataError, match="radius"):
             build_dataset(1, 2, 4, 0, image_size=256, patch_radius=radius)
     for bag_size in (0, data.MAX_KEYPOINTS + 1):

@@ -17,7 +17,7 @@ import numpy as np
 from bagdesc import net as net_module
 from bagdesc.net import REDUCED_CHANNELS, REDUCED_DESCRIPTOR_DIM, init_net
 from bagdesc.tensor import Tensor
-from bagdesc.train import _batch_gradients, triplet_loss
+from bagdesc.train import _batch_gradients, _graph, triplet_loss
 
 from graph_digests import CFG, triplets
 
@@ -199,7 +199,8 @@ def test_conv1_output_is_freed_before_its_backward_runs(monkeypatch):
         return out
 
     monkeypatch.setattr(net_module, "conv2d", conv2d)
-    desc = net_module.forward(net, pixels)
+    desc, params = _graph(net, pixels)
     assert seen["output"]() is not None
     desc.backward(np.ones_like(desc.data))
+    assert params["conv1_w"].grad is not None
     assert seen["alive at backward"] is False

@@ -7,6 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bagdesc.data import BagTriplet, PatchBag
+from bagdesc.matching import MatchConfig
 from bagdesc.net import (
     FULL_CHANNELS,
     FULL_DESCRIPTOR_DIM,
@@ -15,7 +17,6 @@ from bagdesc.net import (
     IntegrityError,
     REDUCED_CHANNELS,
     REDUCED_DESCRIPTOR_DIM,
-    DescriptorNet,
     describe,
     forward,
     forward_bag,
@@ -35,6 +36,7 @@ from bagdesc.tensor import (
     maxpool2x2,
     relu,
 )
+from bagdesc.train import _batch_gradients, _graph, triplet_loss, validate
 
 RNG = np.random.default_rng(42)
 
@@ -179,20 +181,30 @@ def test_float32_pixels_give_the_float64_bits():
     assert np.array_equal(describe(net, narrow), describe(net, wide))
 
 
-def test_forward_over_frozen_leaves_records_no_graph():
+def test_forward_over_frozen_leaves_records_no_graph(tmp_path):
+    """A net from `init_net` or `load_net` is read-only: its leaves take no
+    gradient, so `forward` records no graph, `describe` gives its rows, and
+    the training gradients (a shared bag included) and validation build
+    their graphs elsewhere, leaving every leaf's `grad` unset."""
     net = init_net(4, channels=REDUCED_CHANNELS, descriptor_dim=REDUCED_DESCRIPTOR_DIM)
-    frozen = DescriptorNet(
-        {name: Tensor(p.data, requires_grad=False) for name, p in net.params.items()},
-        net.channels,
-        net.descriptor_dim,
-    )
+    save_net(net, tmp_path / "model.net")
     stack = np.random.default_rng(9).uniform(0, 1, (5, 3, 32, 32))
-    out = forward(frozen, stack)
-    assert out._backward_fn is None
-    assert out._parents == ()
-    assert not out.requires_grad
-    assert np.array_equal(out.data, forward(net, stack).data)
-    assert np.array_equal(describe(net, stack), out.data)
+    rng = np.random.default_rng(10)
+    bags = [PatchBag(k // 2, k % 2, rng.uniform(0, 1, (4, 3, 32, 32))) for k in range(4)]
+    # Both triplets hold the bags (0, 0) and (1, 0), so the batch shares them.
+    triplets = [BagTriplet(bags[0], bags[1], bags[2]), BagTriplet(bags[2], bags[3], bags[0])]
+    cfg = MatchConfig(tau=0.5, beta=10.0)
+    for model in (net, load_net(tmp_path / "model.net")):
+        assert not any(p.requires_grad for p in model.params.values())
+        out = forward(model, stack)
+        assert out._backward_fn is None
+        assert out._parents == ()
+        assert not out.requires_grad
+        assert np.array_equal(describe(model, stack), out.data)
+        triplet_loss(model, triplets[0], cfg)
+        _batch_gradients(model, triplets, cfg, threads=2)
+        validate(model, triplets, cfg)
+        assert all(p.grad is None for p in model.params.values())
 
 
 def test_describe_memory_peak():
@@ -356,11 +368,13 @@ def test_zero_seed_rows_backpropagate_as_if_their_patches_were_absent():
     live = [1, 2, 5, 6, 8, 9, 10]
     dead = [i for i in range(12) if i not in live]
     seed[dead] = 0.0
+    net = init_net(0)
     grads = []
     for rows in (slice(None), live):
-        net = init_net(0)
-        forward(net, pixels[rows]).backward(seed[rows])
-        grads.append({name: p.grad for name, p in net.params.items()})
+        desc, params = _graph(net, pixels[rows])
+        desc.backward(seed[rows])
+        grads.append({name: p.grad for name, p in params.items()})
+        assert all(g is not None for g in grads[-1].values())
     for name, whole in grads[0].items():
         alone = grads[1][name]
         assert np.max(np.abs(whole - alone)) <= 1e-12 * np.max(np.abs(alone)), name
@@ -380,9 +394,10 @@ def test_full_width_forward_backward_memory_peak():
     pixels = np.random.default_rng(18).uniform(0.0, 1.0, (96, 3, 32, 32))
     tracemalloc.start()
     try:
-        desc = forward(net, pixels)
+        desc, params = _graph(net, pixels)
         desc.backward(np.ones_like(desc.data))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert all(p.grad is not None for p in params.values())
     assert peak <= 150e6

@@ -45,10 +45,11 @@ def test_traced_forward_and_backward_record_every_layer(tracer_module):
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
-        desc = net.forward(model, pixels)
+        desc, params = tracer_module.MODULES["train"]._graph(model, pixels)
         desc.backward(np.ones_like(desc.data))
     finally:
         tracer.uninstall()
+    assert all(p.grad is not None for p in params.values())
     names = {span[1] for span in tracer.spans}
     for layer in range(1, tracer_module.CONV_LAYERS + 1):
         assert {f"tensor.conv{layer}.fwd", f"tensor.conv{layer}.bwd"} <= names
