@@ -50,12 +50,7 @@ def main():
         path = Path(tmp) / "demo.bags"
         save_dataset(dataset, path)
         loaded = load_dataset(path, "demo")
-        identical = all(
-            np.array_equal(
-                a.pixel_stack().astype(np.float32), b.pixel_stack().astype(np.float32)
-            )
-            for a, b in zip(dataset.bags, loaded.bags)
-        )
+        identical = all(np.array_equal(a.pixels, b.pixels) for a, b in zip(dataset.bags, loaded.bags))
         print(f"\nfile round trip: {path.stat().st_size:,} bytes, payload identical: {identical}")
 
 

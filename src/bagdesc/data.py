@@ -126,7 +126,8 @@ class PatchBag:
         return len(self.pixels)
 
     def pixel_stack(self) -> np.ndarray:
-        """The [n, 3, 32, 32] pixel array itself (not a copy)."""
+        """`pixels` itself (not a copy). Unused in the package, but
+        perfbench/bench.py calls it."""
         return self.pixels
 
 
@@ -691,7 +692,7 @@ def save_dataset(dataset: BagDataset, path) -> None:
         fh.write((json.dumps(header) + "\n").encode("ascii"))
         for bag in dataset.bags:
             fh.write(struct.pack("<III", bag.object_id, bag.view_id, bag.n))
-            fh.write(bag.pixel_stack().astype("<f4", copy=False).tobytes())
+            fh.write(bag.pixels.astype("<f4", copy=False).tobytes())
 
 
 def load_dataset(path, split: str = "") -> BagDataset:

@@ -49,10 +49,10 @@ class MatchConfig:
     beta: float = 20.0
 
     def __post_init__(self):
-        if not 0.0 < self.tau < 4.0:
-            raise ValueError(f"tau must lie in (0, 4), got {self.tau}")
-        if not 0.0 < self.beta < np.inf:
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if isinstance(self.tau, bool) or not 0.0 < self.tau < 4.0:
+            raise ValueError(f"tau must be a number in (0, 4), got {self.tau!r}")
+        if isinstance(self.beta, bool) or not 0.0 < self.beta < np.inf:
+            raise ValueError(f"beta must be a positive finite number, got {self.beta!r}")
 
 
 class GramPair:

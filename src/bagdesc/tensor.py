@@ -4,18 +4,20 @@ Implements exactly the differentiable operations the descriptor network and
 the bag-matching score need: valid cross-correlation, ReLU, 2x2 max pooling,
 an affine map, and row-wise L2 normalization. An operation with an input
 that requires a gradient records a closure that scatters the output
-gradient back into its inputs, so a scalar computed from Tensors can be
-differentiated with `Tensor.backward()`. Over inputs that all have
+gradient back into its inputs, so a value computed from Tensors can be
+differentiated with `Tensor.backward(seed)`. Over inputs that all have
 `requires_grad=False` it records nothing, and its output holds no
 reference to them.
 
-Leaf Tensors (parameters and inputs) add every backward pass into `grad`.
-Each backward closure captures, when its op runs, exactly the arrays it
-will read, and `Tensor.backward` releases the `data` of every interior node
-but the root before it replays any closure, so an activation that no
-closure reads is freed before the walk starts and the rest as the walk
-passes them. Read an interior node's `data` before calling `backward`. A
-graph is backpropagated once; a second `backward` over it raises.
+A graph is a chain: an op output links to its one input that another op
+computed, and an op with two such inputs raises ValueError. Leaf Tensors
+(parameters and inputs) add every backward pass into `grad`. Each backward
+closure captures, when its op runs, exactly the arrays it will read, and
+`Tensor.backward` releases the `data` of every interior node but the root
+before it runs any closure, so an activation that no closure reads is freed
+before the walk starts and the rest as the walk passes them. Read an
+interior node's `data` before calling `backward`. A graph is backpropagated
+once: `backward` raises RuntimeError over an output with no graph.
 Convolution is valid (no padding) cross-correlation; maxpool routes the
 gradient to the first (row-major) argmax of each window. All arithmetic is
 64-bit.
@@ -79,20 +81,21 @@ class DegenerateInputError(ValueError):
 class Tensor:
     """A dense float64 array with an optional accumulated gradient.
 
-    Tensors form a DAG: an operation over an input that requires a gradient
-    attaches its closure and parent references to its output (which then
-    requires a gradient too), and `backward` replays the closures in
-    reverse topological order, adding into each parent's `grad`. Only a
-    leaf (a Tensor no operation produced) keeps its `grad` afterwards.
-    `shape` outlives `data`, which `backward` releases on interior nodes.
+    An operation over an input that requires a gradient attaches its
+    closure to its output, which then requires a gradient too, and links it
+    to `_input`, its one input computed by another op (None when every
+    input is a leaf). `backward` runs the closures along those links, from
+    the output to the first layer. Only a leaf (a Tensor no operation
+    produced) keeps its `grad` afterwards. `shape` outlives `data`, which
+    `backward` releases on interior nodes.
     """
 
-    __slots__ = ("data", "shape", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "shape", "grad", "requires_grad", "_input", "_backward_fn")
 
     def __init__(
         self,
         data,
-        parents: tuple["Tensor", ...] = (),
+        input: "Tensor | None" = None,
         backward_fn: Callable[[np.ndarray], None] | None = None,
         requires_grad: bool = True,
     ):
@@ -100,7 +103,7 @@ class Tensor:
         self.shape = self.data.shape
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents = parents
+        self._input = input
         self._backward_fn = backward_fn
 
     def accumulate_grad(self, g: np.ndarray) -> None:
@@ -118,67 +121,54 @@ class Tensor:
         else:
             self.grad += g
 
-    def backward(self, seed=None) -> None:
-        """Propagate `seed` (default: ones) back through the graph.
+    def backward(self, seed) -> None:
+        """Propagate `seed`, shaped like this output, back through its graph.
 
         Leaves add their gradient into `grad`. Before any closure runs, every
         interior node but this one drops its `data`: the closures captured
         what they read when their ops ran, so an activation that none of
         them reads is freed at once. Read such a node's `data` before this
-        call. Each interior node, this one included, drops its `grad`,
-        closure and parents once its closure has run, so the graph's
-        gradients are freed during the walk too. The graph is spent: a
-        second `backward` over any of its nodes raises RuntimeError.
+        call. Each node of the chain, this one included, drops its `grad`,
+        closure and link once its closure has run, and takes no gradient
+        from then on, so the graph's gradients are freed during the walk
+        too. Raises RuntimeError, before any closure runs, on an output with
+        no graph: a leaf, an output over inputs that take no gradient, or
+        one whose chain another `backward` has passed.
         """
-        if seed is None:
-            seed = np.ones_like(self.data)
+        chain = [self]
+        while chain[-1]._input is not None:
+            chain.append(chain[-1]._input)
+        if not all(node.requires_grad and node._backward_fn is not None for node in chain):
+            raise RuntimeError(
+                f"{self!r} has no graph to backpropagate: it is a leaf, an output over "
+                "inputs that take no gradient, or part of a graph already backpropagated"
+            )
         seed = np.array(seed, dtype=np.float64)  # a copy: it becomes self.grad
         if seed.shape != self.shape:
             raise ShapeError(f"seed shape {seed.shape} does not match output shape {self.shape}")
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            if node._backward_fn is _spent:
-                raise RuntimeError(f"{node!r} belongs to a graph that was already backpropagated")
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                stack.append((parent, False))
-        for node in order:
-            if node._backward_fn is not None and node is not self:
-                node.data = None
+        for node in chain[1:]:
+            node.data = None
         self.accumulate_grad(seed)
-        while order:
-            node = order.pop()
-            if node._backward_fn is None:
-                continue  # a leaf keeps its gradient
-            if node.grad is not None:
-                node._backward_fn(node.grad)
-            node.grad, node._backward_fn, node._parents = None, _spent, ()
+        for node in chain:
+            node._backward_fn(node.grad)
+            node.grad, node._backward_fn, node._input = None, None, None
+            node.requires_grad = False
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 
 
-def _spent(grad: np.ndarray) -> None:
-    """The closure of a node that `backward` has passed: marks it spent, so
-    it is not mistaken for a leaf."""
-    raise RuntimeError("this graph was already backpropagated")
-
-
-def _node(out: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    """An op's output; it keeps `parents` and `backward_fn` only when one of
-    the parents requires a gradient."""
-    if any(p.requires_grad for p in parents):
-        return Tensor(out, parents, backward_fn)
-    return Tensor(out, requires_grad=False)
+def _node(out: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
+    """An op's output; it keeps `backward_fn` and a link to its computed
+    input only when one of `inputs` requires a gradient. Raises ValueError
+    when two inputs were computed by other ops: `Tensor.backward` walks a
+    chain, and would not reach the second."""
+    if not any(t.requires_grad for t in inputs):
+        return Tensor(out, requires_grad=False)
+    computed = [t for t in inputs if t.requires_grad and t._backward_fn is not None]
+    if len(computed) > 1:
+        raise ValueError("an op takes at most one input computed by another op: a graph is a chain")
+    return Tensor(out, computed[0] if computed else None, backward_fn)
 
 
 def _finite_or_raise(arr: np.ndarray, what: str) -> None:

@@ -67,8 +67,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not 0.0 < self.lr0 < np.inf:
-            raise ValueError(f"lr0 must be positive and finite, got {self.lr0}")
+        if isinstance(self.lr0, bool) or not 0.0 < self.lr0 < np.inf:
+            raise ValueError(f"lr0 must be a positive finite number, got {self.lr0!r}")
         if min(self.batch_size, self.triplets_per_round, self.rounds, self.val_triplets) < 1:
             raise ValueError(
                 "batch_size, triplets_per_round, rounds and val_triplets must be positive"
@@ -121,7 +121,8 @@ def _graph(net: DescriptorNet, pixels: np.ndarray) -> tuple[Tensor, dict[str, Te
     """`forward_bag` of `pixels` with a gradient graph, and the leaf Tensors it
     records against: this call's own, sharing the net's parameter arrays.
     They are the only leaves that take a gradient, so the net itself is only
-    read and concurrent calls do not interfere."""
+    read and concurrent calls do not interfere. The graph is the chain of
+    the net's ten ops; the output's `backward(seed)` spends it once."""
     params = {name: Tensor(p.data) for name, p in net.params.items()}
     return forward_bag(DescriptorNet(params, net.channels, net.descriptor_dim), pixels), params
 
@@ -149,7 +150,7 @@ def triplet_loss(
     own = [i for i, key in enumerate(keys) if key not in shared]
     rows = [shared.get(key) for key in keys]
     if own:
-        desc, params = _graph(net, np.concatenate([bags[i].pixel_stack() for i in own]))
+        desc, params = _graph(net, np.concatenate([bags[i].pixels for i in own]))
         for j, i in enumerate(own):
             rows[i] = desc.data[j * n : (j + 1) * n]
     pair_pos = GramPair(rows[0], rows[1])
@@ -237,12 +238,12 @@ def _batch_gradients(
     total: dict = {}
     losses = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = dict(zip(shared, pool.map(lambda bag: describe(net, bag.pixel_stack()), shared.values())))
+        rows = dict(zip(shared, pool.map(lambda bag: describe(net, bag.pixels), shared.values())))
         for loss, grads in pool.map(lambda t: triplet_loss(net, t, cfg, rows), triplets):
             losses.append(loss)
             _add_into(total, grads)
         seeds = {key: total.pop(key) for key in shared}
-        for grads in pool.map(lambda key: _bag_gradients(net, shared[key].pixel_stack(), seeds[key]), shared):
+        for grads in pool.map(lambda key: _bag_gradients(net, shared[key].pixels, seeds[key]), shared):
             _add_into(total, grads)
     return float(np.mean(losses)), total
 
@@ -286,7 +287,7 @@ def _triplet_pairs(
     """
     keyed = _slots(triplets)
     keys = sorted(keyed)
-    descs = dict(zip(keys, describe_bags(net, [keyed[key][0].pixel_stack() for key in keys], threads)))
+    descs = dict(zip(keys, describe_bags(net, [keyed[key][0].pixels for key in keys], threads)))
 
     def pair(a, b):
         return GramPair(descs[_bag_key(a)], descs[_bag_key(b)])

@@ -17,7 +17,7 @@ from bagdesc.train import ratio_loss
 def forward_triplet_loss(net, triplet, cfg):
     n = triplet.anchor.n
     bags = (triplet.anchor, triplet.positive, triplet.negative)
-    stacked = np.concatenate([bag.pixel_stack() for bag in bags])
+    stacked = np.concatenate([bag.pixels for bag in bags])
     rows = forward_bag(net, stacked).data
     score_pos = soft_match_score(GramPair(rows[:n], rows[n : 2 * n]), cfg)
     score_neg = soft_match_score(GramPair(rows[:n], rows[2 * n :]), cfg)

@@ -61,7 +61,7 @@ def digests() -> dict[str, str]:
     for threads in (1, 2):
         out[f"batch.threads{threads}"] = batch_digest(batch, threads)
     out["batch.unshared"] = batch_digest(triplets(4, stride=2), 2)
-    out["describe"] = _sha(describe(net, batch[0].anchor.pixel_stack()))
+    out["describe"] = _sha(describe(net, batch[0].anchor.pixels))
     out["validate"] = _sha(validate(net, batch, CFG))
     return out
 

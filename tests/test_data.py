@@ -269,8 +269,8 @@ def scene():
 def test_extract_bag_shapes(scene):
     bag = extract_bag(scene, 32, patch_radius=16)
     assert bag.n == 32
-    assert bag.pixel_stack().shape == (32, 3, 32, 32)
-    assert bag.pixel_stack().min() >= 0.0 and bag.pixel_stack().max() <= 1.0
+    assert bag.pixels.shape == (32, 3, 32, 32)
+    assert bag.pixels.min() >= 0.0 and bag.pixels.max() <= 1.0
     assert len(bag.keypoints) == 32
 
 
@@ -340,7 +340,7 @@ def test_build_dataset_and_determinism():
     assert len(a) == 6
     assert a.object_ids == [0, 1, 2]
     for ba, bb in zip(a.bags, b.bags):
-        assert np.array_equal(ba.pixel_stack(), bb.pixel_stack())
+        assert np.array_equal(ba.pixels, bb.pixels)
 
 
 def test_build_dataset_downsamples_and_detects_once_per_view(monkeypatch):
@@ -622,8 +622,8 @@ def test_dataset_round_trip(tmp_path):
         assert (a.object_id, a.view_id) == (b.object_id, b.view_id)
         assert b.keypoints is None
         # bags hold the float32 values the file stores: the round trip is exact
-        assert b.pixel_stack().dtype == a.pixel_stack().dtype == np.float32
-        assert np.array_equal(b.pixel_stack(), a.pixel_stack())
+        assert b.pixels.dtype == a.pixels.dtype == np.float32
+        assert np.array_equal(b.pixels, a.pixels)
     # a second round trip is bit-exact
     path2 = tmp_path / "bags2.dat"
     save_dataset(loaded, path2)

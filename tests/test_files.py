@@ -15,15 +15,18 @@ class Interrupted(Exception):
     pass
 
 
-def interrupt(*args):
+def interrupt(*args, **kwargs):
     raise Interrupted
 
 
 class Unwritable:
-    """Stands in for a parameter array and raises when it is converted."""
+    """Stands in for a parameter or pixel array and raises when it is converted."""
 
     def __init__(self, array):
         self.shape, self.size = array.shape, array.size
+
+    def __len__(self):
+        return self.shape[0]
 
     astype = interrupt
 
@@ -62,7 +65,7 @@ def test_writer_failing_partway_leaves_the_old_file_or_none(tmp_path):
     bags = tmp_path / "d.bags"
     save_dataset(dataset, bags)
     before = bags.read_bytes()
-    dataset.bags[-1].pixel_stack = interrupt  # fails at the last record
+    dataset.bags[-1].pixels = Unwritable(dataset.bags[-1].pixels)  # fails at the last record
     with pytest.raises(Interrupted):
         save_dataset(dataset, bags)
     assert bags.read_bytes() == before

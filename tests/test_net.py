@@ -198,7 +198,7 @@ def test_forward_over_frozen_leaves_records_no_graph(tmp_path):
         assert not any(p.requires_grad for p in model.params.values())
         out = forward(model, stack)
         assert out._backward_fn is None
-        assert out._parents == ()
+        assert out._input is None
         assert not out.requires_grad
         assert np.array_equal(describe(model, stack), out.data)
         triplet_loss(model, triplets[0], cfg)
@@ -345,7 +345,7 @@ def test_reduced_net_end_to_end_gradients():
             try:
                 d = forward(net, patch)
                 return Tensor(
-                    float(d.data[0] @ probe), (d,), lambda g: d.accumulate_grad(float(g) * probe[None])
+                    float(d.data[0] @ probe), d, lambda g: d.accumulate_grad(float(g) * probe[None])
                 )
             finally:
                 net.params[name] = original

@@ -28,6 +28,10 @@ from oracles import (
 )
 
 RNG = np.random.default_rng(1234)
+NO_GRAPH = (
+    "has no graph to backpropagate: it is a leaf, an output over inputs that take no gradient, "
+    "or part of a graph already backpropagated"
+)
 
 
 def test_conv2d_scaling_identity():
@@ -263,7 +267,7 @@ def test_conv2d_backward_after_another_conv_on_the_same_thread():
 
 def test_backward_hands_over_gradients_without_sharing_memory():
     """No leaf .grad aliases the caller's seed or another leaf's .grad, and
-    the walk frees the interior nodes, the root included: each is spent,
+    the walk frees the chain's nodes, the root included: each is spent,
     and every one but the root has released its data."""
     rng = np.random.default_rng(80)
     x = Tensor(rng.normal(size=(2, 3, 10, 10)))
@@ -278,8 +282,8 @@ def test_backward_hands_over_gradients_without_sharing_memory():
     out.backward(seed)
 
     for node in (out, h):
-        assert node.grad is None and node._parents == ()
-        with pytest.raises(RuntimeError, match="already backpropagated"):
+        assert node.grad is None and node._input is None and not node.requires_grad
+        with pytest.raises(RuntimeError, match=NO_GRAPH):
             node.backward(np.ones(node.shape))
     assert h.data is None and out.data is not None
     grads = [t.grad for t in [x] + params]
@@ -380,7 +384,7 @@ def test_l2_normalize_jacobian_matches_finite_differences():
     def f(t):
         y = l2_normalize(t)
         return Tensor(
-            float(y.data[0] @ probe), (y,), lambda g: y.accumulate_grad(float(g) * probe[None])
+            float(y.data[0] @ probe), y, lambda g: y.accumulate_grad(float(g) * probe[None])
         )
 
     assert finite_diff_gradcheck(f, vec, h=1e-6) < 1e-6
@@ -431,7 +435,7 @@ def test_gradcheck_detects_corrupted_backward():
     def broken(t):
         out = np.sum(t.data * t.data)
         # wrong factor: claims d/dx sum(x^2) = 3x
-        return Tensor(out, (t,), lambda g: t.accumulate_grad(3.0 * float(g) * t.data))
+        return Tensor(out, backward_fn=lambda g: t.accumulate_grad(3.0 * float(g) * t.data))
 
     point = Tensor(RNG.normal(size=6) + 2.0)
     assert finite_diff_gradcheck(broken, point, h=1e-5) > 1e-2
@@ -444,7 +448,7 @@ def test_gradcheck_rejects_bad_arguments():
         finite_diff_gradcheck(lambda t: relu(t), Tensor(np.ones(3)), h=1e-5)
     with pytest.raises(DegenerateInputError):
         finite_diff_gradcheck(
-            lambda t: Tensor(np.nan, (t,), lambda g: None), Tensor(np.ones(2)), h=1e-5
+            lambda t: Tensor(np.nan, backward_fn=lambda g: None), Tensor(np.ones(2)), h=1e-5
         )
 
 
@@ -463,29 +467,47 @@ def test_gradients_accumulate_across_backward_calls():
     b = Tensor(np.zeros(2))
     for expected in (1, 2):
         out = sum_squares(affine(Tensor(np.ones((1, 3)), requires_grad=False), w, b))
-        out.backward()
+        out.backward(1.0)
         assert w.grad is not None
     # second pass doubled the accumulated gradient
     single = Tensor(w.data.copy())
     out = sum_squares(affine(Tensor(np.ones((1, 3)), requires_grad=False), single, Tensor(np.zeros(2))))
-    out.backward()
+    out.backward(1.0)
     assert np.allclose(w.grad, 2.0 * single.grad)
 
 
-def test_second_backward_over_a_spent_graph_raises():
-    """A spent root is not mistaken for a leaf: backpropagating it again, or
-    a new graph built on it, raises and adds nothing to any gradient."""
+def test_backward_over_an_output_with_no_graph_raises():
+    """A spent root is not mistaken for a leaf: backpropagating it again, a
+    new graph built on it, or one built before on a node it spent raises as
+    a leaf and an output over inputs that take no gradient do, before any
+    closure runs, so no gradient moves."""
     w = Tensor(RNG.normal(size=(2, 3)))
     b = Tensor(np.zeros(2))
-    out = sum_squares(affine(Tensor(np.ones((1, 3)), requires_grad=False), w, b))
-    out.backward()
-    first = w.grad.copy()
-    with pytest.raises(RuntimeError, match="already backpropagated"):
-        out.backward()
-    with pytest.raises(RuntimeError, match="already backpropagated"):
-        sum_squares(out).backward()
-    assert np.array_equal(w.grad, first)
-    assert out.grad is None
+    x = Tensor(np.ones((1, 3)), requires_grad=False)
+    h = affine(x, w, b)
+    out, sibling = sum_squares(h), sum_squares(affine(relu(h), Tensor(np.eye(2)), b))
+    out.backward(1.0)
+    first = [w.grad.copy(), b.grad.copy()]
+    read_only = sum_squares(affine(x, Tensor(w.data, requires_grad=False), Tensor(np.zeros(2), requires_grad=False)))
+    for node in (out, sum_squares(out), sibling, Tensor(np.ones(3)), read_only):
+        with pytest.raises(RuntimeError, match=NO_GRAPH):
+            node.backward(np.ones(node.shape))
+        assert node.grad is None
+    assert np.array_equal(w.grad, first[0]) and np.array_equal(b.grad, first[1])
+
+
+@pytest.mark.parametrize("op", ["conv2d", "affine"])
+def test_an_op_over_two_computed_inputs_raises(op):
+    """An op whose input and weight are both op outputs would make the graph
+    a DAG that `backward`'s chain walk cannot cover, so it raises."""
+    rng = np.random.default_rng(82)
+    x = Tensor(rng.normal(size=(2, 3, 4, 4)) if op == "conv2d" else rng.normal(size=(2, 5)))
+    w = Tensor(rng.normal(size=(4, 3, 3, 3)) if op == "conv2d" else rng.normal(size=(4, 5)))
+    b = Tensor(np.zeros(4))
+    fn = conv2d if op == "conv2d" else affine
+    with pytest.raises(ValueError, match="a graph is a chain"):
+        fn(relu(x), relu(w), b)
+    assert fn(relu(x), w, b)._input is not None
 
 
 def test_ops_over_inputs_without_gradient_record_no_graph():
@@ -506,12 +528,13 @@ def test_ops_over_inputs_without_gradient_record_no_graph():
     ]
     for out in outputs:
         assert out._backward_fn is None
-        assert out._parents == ()
+        assert out._input is None
         assert not out.requires_grad
     # One input that takes a gradient is enough for the op to record itself.
     tracked = conv2d(x, Tensor(RNG.normal(size=(4, 3, 3, 3))), frozen(4), stride=1)
     assert tracked.requires_grad and tracked._backward_fn is not None
-    assert relu(tracked)._parents == (tracked,)
+    assert tracked._input is None
+    assert relu(tracked)._input is tracked
 
 
 def test_outputs_finite_on_finite_inputs():

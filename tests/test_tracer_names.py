@@ -60,6 +60,27 @@ def test_traced_forward_and_backward_record_every_layer(tracer_module):
     assert metrics["net.forward_patches"][0] == 2
 
 
+def test_traced_backward_over_a_read_only_forward_raises_as_untraced(tracer_module):
+    """The tracer wraps every op output's closure, the absent one of a
+    read-only forward too; `backward` refuses such an output before it
+    would call that wrapper, so the error is the untraced RuntimeError."""
+    net = tracer_module.MODULES["net"]
+    model = net.init_net(0, net.REDUCED_CHANNELS, net.REDUCED_DESCRIPTOR_DIM)
+    pixels = np.random.default_rng(0).uniform(0, 1, (2, 3, 32, 32))
+    seed = np.ones((2, net.REDUCED_DESCRIPTOR_DIM))
+    with pytest.raises(RuntimeError, match="no graph to backpropagate"):
+        net.forward(model, pixels).backward(seed)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        out = net.forward(model, pixels)
+        with pytest.raises(RuntimeError, match="no graph to backpropagate"):
+            out.backward(seed)
+    finally:
+        tracer.uninstall()
+    assert out._backward_fn is not None and out.grad is None
+
+
 def test_traced_batch_gradients_match_untraced(tracer_module):
     """Per-triplet graphs on worker threads still time every conv backward."""
     from bagdesc.data import BagTriplet, PatchBag

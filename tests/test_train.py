@@ -101,6 +101,17 @@ def test_train_config_validation():
             TrainConfig(lr0=value)
 
 
+def test_float_fields_reject_booleans():
+    """True is 1 to arithmetic, so it would train at tau 1, beta 1 or lr 1.0."""
+    for bad in (dict(tau=True), dict(beta=True), dict(tau=True, beta=True)):
+        with pytest.raises(ValueError, match="must be a"):
+            MatchConfig(**bad)
+    with pytest.raises(ValueError, match="lr0 must be a positive finite number"):
+        TrainConfig(lr0=True)
+    assert MatchConfig(tau=1, beta=1) == MatchConfig(tau=1.0, beta=1.0)
+    assert TrainConfig(lr0=1).lr0 == 1
+
+
 def test_triplet_loss_equal_positive_and_negative_content():
     # same pixels under two different object ids: the two scores coincide
     rng = np.random.default_rng(8)
