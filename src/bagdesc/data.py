@@ -483,7 +483,7 @@ def fast_detect(gray, intensity_threshold: float, max_keypoints: int) -> list[tu
 
 
 def _resize_patch(crop: np.ndarray) -> np.ndarray:
-    """Bilinear resample [3,S,S] to [3,32,32] (the crop itself when S == 32)."""
+    """Bilinear resample [C,S,S] to [C,32,32] (the crop itself when S == 32)."""
     src = crop.shape[1]
     if src == PATCH_SIDE:
         return crop
@@ -531,14 +531,13 @@ def extract_bag(scene: SceneImage, n: int, patch_radius: int = PATCH_RADIUS) -> 
             f"{patch_radius} px from the border; need {n}"
         )
     keypoints = usable[:n]
-    crops = [
-        _resize_patch(
-            small[:, y - patch_radius : y + patch_radius, x - patch_radius : x + patch_radius]
-        )
-        for x, y in keypoints
-    ]
+    r = patch_radius
+    crops = np.stack([small[:, y - r : y + r, x - r : x + r] for x, y in keypoints])
+    # One resample of all n*3 channels: the weights are shared and every step
+    # is elementwise, so each crop gets the bits of its own resample.
+    patches = _resize_patch(crops.reshape(n * 3, 2 * r, 2 * r)).reshape(n, 3, PATCH_SIDE, PATCH_SIDE)
     # Rounding in the bilinear weights can land just outside [0, 1]; clamp once.
-    return PatchBag(scene.object_id, scene.view_id, np.clip(np.stack(crops), 0.0, 1.0), keypoints)
+    return PatchBag(scene.object_id, scene.view_id, np.clip(patches, 0.0, 1.0), keypoints)
 
 
 # ---------------------------------------------------------------------------

@@ -129,8 +129,9 @@ def forward(net: DescriptorNet, patches) -> Tensor:
     reads, in one copy, so every activation, gradient and descriptor is
     float64. Returns a [B, descriptor_dim] Tensor of unit rows. Over a
     read-only net it records no graph; over `train._graph`'s leaves it
-    records one, whose `backward` releases its activations, so read none
-    of them afterwards. Raises ShapeError on any other shape and
+    records one, whose ReLUs write their outputs over conv1's and conv2's
+    and whose `backward` releases its activations, so read none of them
+    afterwards. Raises ShapeError on any other shape and
     DegenerateInputError when a pre-normalization row vanishes.
     """
     pixels = np.asarray(patches)

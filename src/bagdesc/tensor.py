@@ -16,8 +16,10 @@ closure captures, when its op runs, exactly the arrays it will read, and
 `Tensor.backward` releases the `data` of every interior node but the root
 before it runs any closure, so an activation that no closure reads is freed
 before the walk starts and the rest as the walk passes them. Read an
-interior node's `data` before calling `backward`. A graph is backpropagated
-once: `backward` raises RuntimeError over an output with no graph.
+interior node's `data` before calling `backward`, and an op output's
+before relu consumes it: over an output that records a graph, relu writes
+its result into the input's array. A graph is backpropagated once:
+`backward` raises RuntimeError over an output with no graph.
 Convolution is valid (no padding) cross-correlation; maxpool routes the
 gradient to the first (row-major) argmax of each window. All arithmetic is
 64-bit.
@@ -40,7 +42,8 @@ every other entry an exactly zero input gradient. relu masks its gradient
 with its own output, which the next convolution keeps anyway, and
 maxpool2x2 keeps one int8 route per output instead of its input. A closure
 reads the arrays it captured, so mutating an activation's `data` between
-forward and backward changes the gradient.
+forward and backward changes the gradient; relu's write over a graph op
+output is such a mutation for any other op that read that output.
 """
 
 from __future__ import annotations
@@ -343,12 +346,19 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x), NaN kept; gradient is zero where x <= 0 or NaN.
 
-    Backward masks with the output, not the input: out > 0 exactly where
-    x > 0 (NaN and -0.0 included), and the next layer usually keeps the
-    output anyway. The mask is multiplied into the gradient it is handed,
-    which is this node's own (see `Tensor.accumulate_grad`).
+    Over an op output that records a graph, the result is written over
+    `x.data`, which then holds the output instead of the input, so no
+    second array is allocated: read such an input's `data` before calling
+    relu. Its values must be read by no closure but relu's own, so give
+    relu no output that another op has read, nor l2_normalize's, whose
+    closure keeps its output. A leaf or a graph-free output is never
+    written. Backward masks with the output, not the input: out > 0
+    exactly where x > 0 (NaN and -0.0 included), and the next layer
+    usually keeps the output anyway. The mask is multiplied into the
+    gradient it is handed, which is this node's own (see
+    `Tensor.accumulate_grad`).
     """
-    out = np.maximum(x.data, 0.0)
+    out = np.maximum(x.data, 0.0, out=x.data if x._backward_fn is not None else None)
 
     def backward_fn(grad: np.ndarray) -> None:
         grad *= out > 0
@@ -438,12 +448,17 @@ def l2_normalize(x: Tensor) -> Tensor:
 def flatten(x: Tensor) -> Tensor:
     """[B,C,H,W] -> [B, C*H*W].
 
-    The input gradient is batch-innermost, the layout conv2d reads without
-    a copy; the closure keeps only the input's shape.
+    The output is a view of the input where its layout allows, as for a
+    batch-innermost one, except over a leaf that takes a gradient: relu may
+    write over this op's output, and must not write the leaf. The input
+    gradient is batch-innermost, the layout conv2d reads without a copy;
+    the closure keeps only the input's shape.
     """
     xd = _batch(x, 4)
     b, c, h, w = xd.shape
     out = xd.reshape(b, -1)
+    if x.requires_grad and x._backward_fn is None:
+        out = out.copy()
 
     def backward_fn(grad: np.ndarray) -> None:
         dx = np.empty((c, h, w, b)).transpose(3, 0, 1, 2)

@@ -384,11 +384,13 @@ def test_full_width_forward_backward_memory_peak():
     """One 96-patch forward and backward holds no convolution column matrix
     and frees each activation gradient once its node's backward has run.
 
-    The traced peak is about 91 MB, at the end of the forward pass. Keeping
-    the activations that no closure reads through the backward walk raises
-    it to about 127 MB, activation gradients kept until the graph is
-    dropped to about 180 MB, and a stored [C*kh*kw, Ho*Wo*B] matrix per
-    convolution (77 MB at conv2, 64 MB at conv3) to about 350.
+    The traced peak is about 71 MB, in conv2's backward. Before relu wrote
+    over the convolution outputs it was about 91 MB, at the end of the
+    forward pass; from there, keeping the activations that no closure reads
+    through the backward walk raised it to about 127 MB, activation
+    gradients kept until the graph is dropped to about 180 MB, and a stored
+    [C*kh*kw, Ho*Wo*B] matrix per convolution (77 MB at conv2, 64 MB at
+    conv3) to about 350.
     """
     net = init_net(0)
     pixels = np.random.default_rng(18).uniform(0.0, 1.0, (96, 3, 32, 32))

@@ -104,6 +104,45 @@ def test_relu_propagates_nan_and_clears_negative_zero():
     assert np.array_equal(x.grad, [0.0, 0.0, 0.0, 1.0])
 
 
+def test_relu_writes_over_a_graph_op_output_only():
+    """relu writes its result into its input's array only when the input is
+    an op output that records a graph, and the output and the gradient it
+    passes back are those of relu over a copy. A leaf, with or without a
+    gradient, and a graph-free op output keep their values, and so does a
+    leaf under flatten, whose output would otherwise be a view of it."""
+    rng = np.random.default_rng(90)
+    x = Tensor(rng.normal(size=(5, 4)), requires_grad=False)
+    frozen = [Tensor(rng.normal(size=shape), requires_grad=False) for shape in ((4, 4), (4,))]
+    for kept in (Tensor(x.data.copy()), Tensor(x.data.copy(), requires_grad=False), affine(x, *frozen)):
+        before = kept.data.copy()
+        out = relu(kept)
+        assert np.array_equal(kept.data, before)
+        assert not np.shares_memory(out.data, kept.data)
+    leaf = Tensor(rng.normal(size=(2, 3, 2, 2)))
+    before = leaf.data.copy()
+    relu(flatten(leaf))
+    assert np.array_equal(leaf.data, before)
+
+    h = affine(x, Tensor(frozen[0].data.copy()), Tensor(frozen[1].data.copy()))
+    copy = Tensor(h.data.copy())
+    received = {}
+    h_backward = h._backward_fn
+
+    def recorded(grad):
+        received["grad"] = grad.copy()
+        h_backward(grad)
+
+    h._backward_fn = recorded
+    out, expected = relu(h), relu(copy)
+    assert np.shares_memory(out.data, h.data)
+    assert np.array_equal(out.data, expected.data)
+    assert (expected.data == 0).any() and (expected.data > 0).any()
+    seed = rng.normal(size=out.shape)
+    out.backward(seed)
+    expected.backward(seed)
+    assert np.array_equal(received["grad"], copy.grad)
+
+
 def test_maxpool_values():
     out = maxpool2x2(Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]])))
     assert out.data.shape == (1, 1, 1, 1)
